@@ -18,12 +18,22 @@ import (
 // ride the same single-flight table as single GETs, so a batch member
 // and a concurrent single Get for one key share one store round trip.
 
-// mgetResp serves a batched read. The response carries one op per
-// requested key in request order: BatchUpdate for a key served (from
-// the resident set or a fill), BatchInvalidate for a clean not-found.
-// A store-side failure fails the whole request — like the single-key
-// path, errors are not silently downgraded to not-found.
-func (s *Server) mgetResp(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
+// batchMisses is what an MGET's lookup pass hands its fill pass: the
+// keys that missed, where each sits in the response, and whether it was
+// resident (stale) when probed.
+type batchMisses struct {
+	keys  []string
+	idx   []int
+	found []bool
+}
+
+// mgetLookup is the non-blocking half of a batched read: one pass over
+// the resident set doing every key's accounting. The response carries
+// one op per requested key in request order — BatchUpdate for a fresh
+// hit, BatchInvalidate (a clean not-found, until a fill says otherwise)
+// for the rest — and is complete when there are no misses. Nothing it
+// returns aliases m, whose Keys slice the reader reuses.
+func (s *Server) mgetLookup(m *proto.Msg) (*proto.Msg, batchMisses) {
 	keys := m.Keys
 	resp := proto.GetMsg()
 	resp.Type, resp.Seq = proto.MsgMGetResp, m.Seq
@@ -35,57 +45,42 @@ func (s *Server) mgetResp(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 
 	now := time.Now()
 	s.c.Gets.Add(uint64(len(keys)))
-	var (
-		missIdx   []int
-		missFound []bool
-	)
+	var misses batchMisses
 	s.kv.GetBatch(keys, now, func(i int, e kv.Entry, found, fresh bool) {
-		s.noteRead(keys[i])
+		s.classify(keys[i], &e, found, fresh, now)
 		if fresh {
-			s.c.Hits.Inc()
-			s.observeFreshServe(&e, now)
 			// Entry values are immutable once installed, so the borrow
 			// stays a stable snapshot through the encode.
 			resp.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Value: e.Value, Version: e.Version}
 			return
 		}
-		if found {
-			s.c.StaleMisses.Inc()
-			if !e.Stale && !e.ExpireAt.IsZero() && !now.Before(e.ExpireAt) {
-				// Not invalidated — the hard deadline alone cut it off.
-				s.c.DeadlineExpired.Inc()
-			}
-		} else {
-			s.c.ColdMisses.Inc()
-		}
-		missIdx = append(missIdx, i)
-		missFound = append(missFound, found)
+		misses.keys = append(misses.keys, keys[i])
+		misses.idx = append(misses.idx, i)
+		misses.found = append(misses.found, found)
 	})
-	if len(missIdx) == 0 {
-		return resp
-	}
+	return resp, misses
+}
 
-	missKeys := make([]string, len(missIdx))
-	for j, i := range missIdx {
-		missKeys[j] = keys[i]
-	}
-	fills := s.fillBatch(missKeys, tr)
-	for j, f := range fills {
-		i := missIdx[j]
+// mgetFill is the blocking half: it fills the misses and completes resp.
+// A store-side failure fails the whole request — like the single-key
+// path, errors are not silently downgraded to not-found.
+func (s *Server) mgetFill(resp *proto.Msg, misses batchMisses, tr *proto.SpanRec) *proto.Msg {
+	for j, f := range s.fillBatch(misses.keys, tr) {
+		key, i := misses.keys[j], misses.idx[j]
 		switch {
 		case f.err == nil:
-			resp.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Value: f.value, Version: f.version}
+			resp.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: key, Value: f.value, Version: f.version}
 		case errors.Is(f.err, client.ErrNotFound):
-			if missFound[j] {
+			if misses.found[j] {
 				// Deleted upstream; drop our stale copy. The op stays a
 				// BatchInvalidate (clean not-found).
-				s.kv.Delete(keys[i])
+				s.kv.Delete(key)
 			}
 		default:
-			proto.PutMsg(resp)
 			eresp := proto.GetMsg()
-			eresp.Type, eresp.Seq = proto.MsgErr, m.Seq
-			eresp.Err = fmt.Sprintf("cache: batch fill of %q: %v", keys[i], f.err)
+			eresp.Type, eresp.Seq = proto.MsgErr, resp.Seq
+			eresp.Err = fmt.Sprintf("cache: batch fill of %q: %v", key, f.err)
+			proto.PutMsg(resp)
 			return eresp
 		}
 	}
@@ -160,23 +155,37 @@ func (s *Server) fillBatch(missKeys []string, tr *proto.SpanRec) []fillResult {
 	return out
 }
 
+// mputArgs copies a batched write's keys and values out of the reader's
+// request Msg (the values alias its buffer; one backing buffer holds
+// them all — one allocation per batch, not per key).
+func mputArgs(m *proto.Msg) (keys []string, vals [][]byte, err error) {
+	n, total := len(m.Ops), 0
+	for i := range m.Ops {
+		if m.Ops[i].Kind != proto.BatchUpdate {
+			return nil, nil, fmt.Errorf("cache: MPUT op %d has kind %d, want update", i, m.Ops[i].Kind)
+		}
+		total += len(m.Ops[i].Value)
+	}
+	keys = make([]string, n)
+	vals = make([][]byte, n)
+	buf := make([]byte, 0, total)
+	for i := range m.Ops {
+		keys[i] = m.Ops[i].Key
+		if m.Ops[i].Value != nil {
+			start := len(buf)
+			buf = append(buf, m.Ops[i].Value...)
+			vals[i] = buf[start:len(buf):len(buf)]
+		}
+	}
+	return keys, vals, nil
+}
+
 // mputResp forwards a batched write to the owning store shards (writes
 // bypass the cache) and relays the per-key outcome: a key whose write
 // failed at its shard answers as BatchInvalidate, the rest carry their
 // assigned versions.
-func (s *Server) mputResp(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
-	n := len(m.Ops)
-	keys := make([]string, n)
-	vals := make([][]byte, n)
-	for i := range m.Ops {
-		if m.Ops[i].Kind != proto.BatchUpdate {
-			return &proto.Msg{Type: proto.MsgErr, Seq: m.Seq,
-				Err: fmt.Sprintf("cache: MPUT op %d has kind %d, want update", i, m.Ops[i].Kind)}
-		}
-		keys[i] = m.Ops[i].Key
-		vals[i] = m.Ops[i].Value // copied off the reader buffer by handleConn
-	}
-	s.c.Puts.Add(uint64(n))
+func (s *Server) mputResp(seq uint64, keys []string, vals [][]byte, tr *proto.SpanRec) *proto.Msg {
+	s.c.Puts.Add(uint64(len(keys)))
 	var results []client.MPutResult
 	if tr != nil {
 		var pts []*proto.Trace
@@ -190,7 +199,7 @@ func (s *Server) mputResp(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 		results = s.stores.MPut(keys, vals)
 	}
 	resp := proto.GetMsg()
-	resp.Type, resp.Seq = proto.MsgMPutResp, m.Seq
+	resp.Type, resp.Seq = proto.MsgMPutResp, seq
 	ops := resp.Ops[:0]
 	for i, r := range results {
 		if r.Err != nil {

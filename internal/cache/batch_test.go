@@ -167,7 +167,8 @@ func TestSingleFlightFillDedupe(t *testing.T) {
 	}
 	batchDone := make(chan *proto.Msg, 1)
 	go func() {
-		batchDone <- ca.mgetResp(&proto.Msg{Type: proto.MsgMGet, Keys: []string{"k", "k"}}, nil)
+		resp, misses := ca.mgetLookup(&proto.Msg{Type: proto.MsgMGet, Keys: []string{"k", "k"}})
+		batchDone <- ca.mgetFill(resp, misses, nil)
 	}()
 	waitFor(t, 5*time.Second, func() bool {
 		return ca.StatsMap()["fills_deduped"] == 6

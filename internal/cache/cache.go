@@ -37,6 +37,7 @@ import (
 	"freshcache/internal/kv"
 	"freshcache/internal/proto"
 	"freshcache/internal/ring"
+	"freshcache/internal/sketch"
 	"freshcache/internal/stats"
 )
 
@@ -193,8 +194,8 @@ type Server struct {
 	subs     map[string]*shardSub
 	serveCtx context.Context
 
-	readMu     sync.Mutex
-	readCounts map[string]uint32
+	// reads accumulates the per-key read counts between reports.
+	reads [readStripes]readStripe
 
 	// fillMu guards the single-flight fill table. One flight per key
 	// serves two jobs at once. First, coalescing: every concurrent miss
@@ -246,13 +247,15 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:        cfg,
-		kv:         kv.NewCache(cfg.Capacity),
-		stores:     stores,
-		spanName:   "cache:" + cfg.Name,
-		subs:       make(map[string]*shardSub),
-		readCounts: make(map[string]uint32),
-		fills:      make(map[string]*flight),
+		cfg:      cfg,
+		kv:       kv.NewCache(cfg.Capacity),
+		stores:   stores,
+		spanName: "cache:" + cfg.Name,
+		subs:     make(map[string]*shardSub),
+		fills:    make(map[string]*flight),
+	}
+	for i := range s.reads {
+		s.reads[i].counts = make(map[string]uint32)
 	}
 	s.reg = s.buildRegistry()
 	if cfg.ClusterAddr != "" {
@@ -444,32 +447,50 @@ func (s *Server) Close() error {
 // node can be embedded in-process (the examples do this) as well as
 // served over TCP.
 func (s *Server) Get(key string) ([]byte, uint64, error) {
-	return s.get(key, nil)
-}
-
-// get is Get with an optional hop recorder: a traced miss fill
-// propagates the trace ID to the authority and merges the store's span
-// into this hop's record, so the client's hop tree shows where a miss
-// actually spent its time.
-func (s *Server) get(key string, tr *proto.SpanRec) ([]byte, uint64, error) {
-	s.c.Gets.Inc()
-	s.noteRead(key)
-	now := time.Now()
-	e, found, fresh := s.kv.Get(key, now)
+	e, found, fresh := s.lookup(key, time.Now())
 	if fresh {
-		s.c.Hits.Inc()
-		s.observeFreshServe(&e, now)
 		return e.Value, e.Version, nil
 	}
-	if found {
+	return s.fillMiss(key, found, nil)
+}
+
+// lookup is the part of a read that never blocks: one resident-set
+// probe plus all of the read's accounting (gets, read report, and the
+// hit / stale-miss / cold-miss classification), so whoever carries a
+// miss on — in place or on another goroutine — counts nothing twice.
+// The entry's value is a borrowed view: entries are immutable once
+// installed, so it stays a stable snapshot through the response encode.
+func (s *Server) lookup(key string, now time.Time) (e kv.Entry, found, fresh bool) {
+	e, found, fresh = s.kv.Get(key, now)
+	s.c.Gets.Inc()
+	s.classify(key, &e, found, fresh, now)
+	return e, found, fresh
+}
+
+// classify does one key's read accounting for a probe result.
+func (s *Server) classify(key string, e *kv.Entry, found, fresh bool, now time.Time) {
+	s.noteRead(key)
+	switch {
+	case fresh:
+		s.c.Hits.Inc()
+		s.observeFreshServe(e, now)
+	case found:
 		s.c.StaleMisses.Inc()
 		if !e.Stale && !e.ExpireAt.IsZero() && !now.Before(e.ExpireAt) {
 			// Not invalidated — the hard deadline alone cut it off.
 			s.c.DeadlineExpired.Inc()
 		}
-	} else {
+	default:
 		s.c.ColdMisses.Inc()
 	}
+}
+
+// fillMiss is the blocking remainder of a read that lookup classified a
+// miss: fetch from the authority through the single-flight table. A
+// traced fill propagates the trace ID to the authority and merges the
+// store's span into this hop's record, so the client's hop tree shows
+// where a miss actually spent its time.
+func (s *Server) fillMiss(key string, found bool, tr *proto.SpanRec) ([]byte, uint64, error) {
 	value, version, err := s.fill(key, tr)
 	if err != nil {
 		if errors.Is(err, client.ErrNotFound) && found {
@@ -601,11 +622,24 @@ func (s *Server) put(key string, value []byte, tr *proto.SpanRec) (uint64, error
 	return s.stores.Put(key, value)
 }
 
+// readStripes is the number of independently locked read-count tables —
+// a power of two, picked by the same key hash as the resident set's
+// stripes, so hits on different keys from different connections do not
+// serialise on one counter lock.
+const readStripes = 64
+
+type readStripe struct {
+	mu     sync.Mutex
+	counts map[string]uint32
+	_      [48]byte // one stripe per cache line
+}
+
 // noteRead accumulates the per-key read counts reported to the stores.
 func (s *Server) noteRead(key string) {
-	s.readMu.Lock()
-	s.readCounts[key]++
-	s.readMu.Unlock()
+	st := &s.reads[sketch.Hash(key)&(readStripes-1)]
+	st.mu.Lock()
+	st.counts[key]++
+	st.mu.Unlock()
 }
 
 // reportLoop ships accumulated read counts to the owning store shards
@@ -624,18 +658,27 @@ func (s *Server) reportLoop(ctx context.Context) {
 	}
 }
 
+// flushReports ships every count accumulated since the last flush,
+// exactly once: each stripe's table is swapped out under its own lock, so
+// a read lands either in this report or in the next.
 func (s *Server) flushReports() {
-	s.readMu.Lock()
-	if len(s.readCounts) == 0 {
-		s.readMu.Unlock()
+	var reports []proto.ReadReport
+	for i := range s.reads {
+		st := &s.reads[i]
+		st.mu.Lock()
+		var counts map[string]uint32
+		if len(st.counts) > 0 {
+			counts = st.counts
+			st.counts = make(map[string]uint32, len(counts))
+		}
+		st.mu.Unlock()
+		for k, n := range counts {
+			reports = append(reports, proto.ReadReport{Key: k, Count: n})
+		}
+	}
+	if len(reports) == 0 {
 		return
 	}
-	reports := make([]proto.ReadReport, 0, len(s.readCounts))
-	for k, n := range s.readCounts {
-		reports = append(reports, proto.ReadReport{Key: k, Count: n})
-	}
-	s.readCounts = make(map[string]uint32)
-	s.readMu.Unlock()
 	if err := s.stores.ReadReport(reports); err != nil {
 		s.cfg.Logger.Printf("cache %s: read report failed: %v", s.cfg.Name, err)
 		// Intentionally dropped rather than retried: read statistics are
@@ -771,85 +814,84 @@ func (s *Server) applyBatch(m *proto.Msg) {
 	s.c.BatchesApplied.Inc()
 }
 
-// maxConnInflight bounds the concurrently dispatched requests per
+// maxConnInflight bounds the requests carried on asynchronously per
 // client connection; beyond it the read loop exerts backpressure.
 const maxConnInflight = 256
 
-// handleConn serves one client connection: a single read loop feeding
-// concurrent dispatchers (a miss fill or a forwarded PUT blocks on a
-// store round trip, and must not stall the pipelined requests queued
-// behind it) and a coalescing writer goroutine, so a burst of responses
-// costs one flush, not one syscall each. Responses may complete out of
-// order; each echoes its request's Seq for the client to demux.
+// connState is one client connection's outgoing queue plus the requests
+// still being carried on off the read loop.
+type connState struct {
+	out chan proto.Outgoing
+	// sem holds one slot per carried-on request (maxConnInflight);
+	// carrying waits them all out before out is closed.
+	sem      chan struct{}
+	carrying sync.WaitGroup
+}
+
+// handleConn serves one client connection run-to-completion: the read
+// loop dispatches each request in place, and whatever needs no store
+// round trip — a fresh hit, an MGET of fresh hits, PING, STATS — is
+// answered right there, from the reader's own request Msg, into the
+// coalescing writer's queue (a burst of responses costs one flush, not
+// one syscall each). Only the part that blocks goes on to a goroutine of
+// its own (carryOn): a miss fill or a forwarded write must not stall the
+// pipelined requests queued behind it. So responses may overtake one
+// another; each echoes its request's Seq for the client to demux.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.wg.Done()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	out := make(chan proto.Outgoing, 64)
+	cs := &connState{
+		out: make(chan proto.Outgoing, 64),
+		sem: make(chan struct{}, maxConnInflight),
+	}
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		proto.WriteQueue(conn, out, conn)
+		proto.WriteQueue(conn, cs.out, conn)
 	}()
 
-	var dispatchers sync.WaitGroup
-	sem := make(chan struct{}, maxConnInflight)
-
+	// One request Msg reused across the whole connection: dispatch either
+	// answers before returning or copies what the carried-on part keeps
+	// (values are copied, keys are interned strings), so nothing aliases
+	// m once it returns.
+	var m proto.Msg
 	r := proto.NewReader(conn)
 	for {
-		// Pooled request Msg: the dispatcher goroutine owns it and
-		// returns it to the pool when done.
-		m := proto.GetMsg()
-		if err := r.ReadMsgInto(m); err != nil {
-			proto.PutMsg(m)
+		if err := r.ReadMsgInto(&m); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil {
 				s.c.MalformedFrames.Inc()
 				s.cfg.Logger.Printf("cache %s: conn %s: %v", s.cfg.Name, conn.RemoteAddr(), err)
 			}
 			break
 		}
-		if m.Value != nil {
-			// The value aliases the reader's buffer, which the next
-			// ReadMsg overwrites while the dispatcher still runs. (Keys
-			// are interned strings — immutable, safe to hold.)
-			m.Value = append([]byte(nil), m.Value...)
+		tr := proto.StartSpan(&m, s.spanName)
+		if resp := s.dispatch(&m, cs, tr); resp != nil {
+			cs.out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
 		}
-		if len(m.Ops) > 0 {
-			// Batched writes: each op's value aliases the reader buffer
-			// too. One backing buffer copies them all — one allocation
-			// per batch, not per key.
-			total := 0
-			for i := range m.Ops {
-				total += len(m.Ops[i].Value)
-			}
-			buf := make([]byte, 0, total)
-			for i := range m.Ops {
-				if m.Ops[i].Value == nil {
-					continue
-				}
-				start := len(buf)
-				buf = append(buf, m.Ops[i].Value...)
-				m.Ops[i].Value = buf[start:len(buf):len(buf)]
-			}
-		}
-		sem <- struct{}{}
-		dispatchers.Add(1)
-		go func(m *proto.Msg) {
-			defer func() {
-				<-sem
-				dispatchers.Done()
-			}()
-			tr := proto.StartSpan(m, s.spanName)
-			resp := s.dispatch(m, tr)
-			proto.PutMsg(m)
-			out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
-		}(m)
 	}
-	dispatchers.Wait()
-	close(out)
+	cs.carrying.Wait()
+	close(cs.out)
 	<-writerDone
 	conn.Close()
+}
+
+// carryOn answers a request asynchronously through the connection's
+// writer: fn is the blocking remainder (a store round trip) of a request
+// whose non-blocking part the read loop has already done. It returns nil
+// — dispatch's "no response yet".
+func (s *Server) carryOn(cs *connState, tr *proto.SpanRec, fn func() *proto.Msg) *proto.Msg {
+	cs.sem <- struct{}{}
+	cs.carrying.Add(1)
+	go func() {
+		defer func() {
+			<-cs.sem
+			cs.carrying.Done()
+		}()
+		cs.out <- proto.Outgoing{Msg: s.finishTrace(tr, fn()), Pooled: true}
+	}()
+	return nil
 }
 
 // finishTrace closes a traced request's hop span on its response and
@@ -863,39 +905,68 @@ func (s *Server) finishTrace(tr *proto.SpanRec, resp *proto.Msg) *proto.Msg {
 	return resp
 }
 
-func (s *Server) dispatch(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
+// getResp builds a GET's response from its outcome.
+func getResp(seq uint64, value []byte, version uint64, err error) *proto.Msg {
+	resp := proto.GetMsg()
+	resp.Seq = seq
+	switch {
+	case err == nil:
+		resp.Type, resp.Status, resp.Version, resp.Value = proto.MsgGetResp, proto.StatusOK, version, value
+	case errors.Is(err, client.ErrNotFound):
+		resp.Type, resp.Status = proto.MsgGetResp, proto.StatusNotFound
+	default:
+		resp.Type, resp.Err = proto.MsgErr, err.Error()
+	}
+	return resp
+}
+
+// dispatch runs on the connection's read loop. It returns the response,
+// or nil after handing the blocking remainder of the request to carryOn.
+// m is the reader's: valid only until dispatch returns.
+func (s *Server) dispatch(m *proto.Msg, cs *connState, tr *proto.SpanRec) *proto.Msg {
 	switch m.Type {
 	case proto.MsgGet:
-		value, version, err := s.get(m.Key, tr)
-		resp := proto.GetMsg()
-		resp.Seq = m.Seq
-		switch {
-		case err == nil:
-			resp.Type, resp.Status, resp.Version, resp.Value = proto.MsgGetResp, proto.StatusOK, version, value
-		case errors.Is(err, client.ErrNotFound):
-			resp.Type, resp.Status = proto.MsgGetResp, proto.StatusNotFound
-		default:
-			resp.Type, resp.Err = proto.MsgErr, err.Error()
+		e, found, fresh := s.lookup(m.Key, time.Now())
+		if fresh {
+			return getResp(m.Seq, e.Value, e.Version, nil)
 		}
-		return resp
+		seq, key := m.Seq, m.Key
+		return s.carryOn(cs, tr, func() *proto.Msg {
+			value, version, err := s.fillMiss(key, found, tr)
+			return getResp(seq, value, version, err)
+		})
 	case proto.MsgPut:
-		version, err := s.put(m.Key, m.Value, tr)
-		resp := proto.GetMsg()
-		resp.Seq = m.Seq
-		if err != nil {
-			resp.Type, resp.Err = proto.MsgErr, err.Error()
+		// The value aliases the reader's buffer, which the next read
+		// overwrites while the store round trip is still running.
+		seq, key, value := m.Seq, m.Key, append([]byte(nil), m.Value...)
+		return s.carryOn(cs, tr, func() *proto.Msg {
+			version, err := s.put(key, value, tr)
+			resp := proto.GetMsg()
+			resp.Seq = seq
+			if err != nil {
+				resp.Type, resp.Err = proto.MsgErr, err.Error()
+				return resp
+			}
+			resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, version
 			return resp
-		}
-		resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, version
-		return resp
+		})
 	case proto.MsgMGet:
 		s.c.MGetKeys.Add(uint64(len(m.Keys)))
 		s.batchSize.Observe(float64(len(m.Keys)))
-		return s.mgetResp(m, tr)
+		resp, misses := s.mgetLookup(m)
+		if len(misses.keys) == 0 {
+			return resp
+		}
+		return s.carryOn(cs, tr, func() *proto.Msg { return s.mgetFill(resp, misses, tr) })
 	case proto.MsgMPut:
 		s.c.MPutKeys.Add(uint64(len(m.Ops)))
 		s.batchSize.Observe(float64(len(m.Ops)))
-		return s.mputResp(m, tr)
+		seq := m.Seq
+		keys, vals, err := mputArgs(m)
+		if err != nil {
+			return &proto.Msg{Type: proto.MsgErr, Seq: seq, Err: err.Error()}
+		}
+		return s.carryOn(cs, tr, func() *proto.Msg { return s.mputResp(seq, keys, vals, tr) })
 	case proto.MsgPing:
 		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
 	case proto.MsgStats:

@@ -6,20 +6,23 @@
 //
 //   - The default multiplexed, pipelined transport (mux.go): a small
 //     fixed set of TCP connections per target, each with a demux reader
-//     goroutine routing responses to waiters by sequence number and a
-//     writer goroutine gathering queued frames into single vectored
-//     writes. Concurrent calls share connections instead of queueing
-//     behind them, and request timeouts are per-waiter deadlines swept
-//     by a janitor, so one slow request does not poison a shared
-//     connection.
+//     goroutine that runs each response's Completion by sequence number
+//     and a writer goroutine gathering queued frames into single
+//     vectored writes. Concurrent calls share connections instead of
+//     queueing behind them, and request timeouts are per-request
+//     deadlines swept by a janitor, so one slow request does not poison
+//     a shared connection. Blocking calls park only the caller's own
+//     goroutine; GetAsync parks none — a proxy relays the response from
+//     inside the completion.
 //   - The seed-style pooled transport (pooled.go, Options.Pooled): each
 //     request checks a connection out of a bounded pool, performs one
 //     blocking write+read round trip, and checks it back in. Kept as the
 //     comparison baseline for the transport benchmarks and as a
 //     conservative fallback.
 //
-// Responses are copied out of the framing buffers, so returned values
-// remain valid after the next call.
+// Blocking calls copy responses out of the framing buffers, so returned
+// values remain valid after the next call. A Completion is instead lent
+// the response in place (see Completion for the rule).
 package client
 
 import (
@@ -56,7 +59,7 @@ type Options struct {
 	// DialTimeout bounds connection establishment; defaults to 5s.
 	DialTimeout time.Duration
 	// RequestTimeout bounds one request/response exchange; defaults to
-	// 10s. On the multiplexed transport this is a per-waiter deadline
+	// 10s. On the multiplexed transport this is a per-request deadline
 	// (enforced by a coarse sweep, so it may fire up to ~12% late): a
 	// timed-out request abandons its response without disturbing the
 	// other requests in flight on the same connection.
@@ -111,6 +114,10 @@ func (o *Options) fill() {
 // the request's Seq and copy buffer-aliasing response fields.
 type transport interface {
 	roundTrip(req *proto.Msg) (*proto.Msg, error)
+	// start begins req without blocking the caller if it can, reporting
+	// whether it did; on true done fires exactly once (see Completion)
+	// and req is the caller's again.
+	start(req *proto.Msg, done Completion) bool
 	close() error
 }
 
@@ -154,12 +161,19 @@ func (c *Client) do(req *proto.Msg) (*proto.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.Type == proto.MsgErr {
-		err := fmt.Errorf("%w: %s", ErrServer, resp.Err)
+	if err := serverErr(resp); err != nil {
 		proto.PutMsg(resp)
 		return nil, err
 	}
 	return resp, nil
+}
+
+// serverErr unwraps a request-level error answer (MsgErr).
+func serverErr(resp *proto.Msg) error {
+	if resp.Type == proto.MsgErr {
+		return fmt.Errorf("%w: %s", ErrServer, resp.Err)
+	}
+	return nil
 }
 
 // newReq builds a pooled request of the given type.
@@ -203,9 +217,42 @@ func (c *Client) Fill(key string) ([]byte, uint64, error) {
 	return getResult(resp, key)
 }
 
+// GetAsync starts a GET for key and returns without waiting for the
+// answer: done is called exactly once with the response — lent, see
+// Completion; DecodeGet reads it — or with the transport error. A
+// non-nil trace marks the request as traced. On a live connection
+// nothing is spawned and done runs on that connection's reader; when the
+// target must first be (re)dialed, the ordinary blocking exchange runs
+// on a goroutine of its own and lends its response the same way, so the
+// caller never waits out a dial. The coalescer does not apply.
+func (c *Client) GetAsync(key string, trace *proto.Trace, done Completion) {
+	req := newReq(proto.MsgGet)
+	req.Key, req.Trace = key, trace
+	if c.tr.start(req, done) {
+		proto.PutMsg(req)
+		return
+	}
+	go func() {
+		resp, err := c.tr.roundTrip(req)
+		proto.PutMsg(req)
+		done.Complete(resp, err)
+		proto.PutMsg(resp)
+	}()
+}
+
 // getResult consumes (and releases) resp.
 func getResult(resp *proto.Msg, key string) ([]byte, uint64, error) {
 	defer proto.PutMsg(resp)
+	return DecodeGet(resp, key)
+}
+
+// DecodeGet reads a GET's response — the one lent to a GetAsync
+// completion, say — exactly as Get would have returned it, request-level
+// server errors included. The value is borrowed from resp.
+func DecodeGet(resp *proto.Msg, key string) ([]byte, uint64, error) {
+	if err := serverErr(resp); err != nil {
+		return nil, 0, err
+	}
 	if resp.Type != proto.MsgGetResp {
 		return nil, 0, fmt.Errorf("client: unexpected response %v to GET", resp.Type)
 	}

@@ -21,12 +21,20 @@ import (
 // concurrent calls pipeline onto one socket instead of queueing behind
 // a checkout, and a burst of N frames costs one syscall, not N.
 //
-// Timeouts are deadline sweeps, not per-request timers: each waiter
-// records its deadline and a per-connection janitor expires overdue
-// waiters on a coarse tick (~timeout/8). A timed-out request abandons
-// its pending-map slot (its late response, if any, is dropped on
-// arrival) and the connection keeps serving its neighbors. This keeps
-// the per-request path to one channel receive — no timer arm/stop, no
+// There is one request path, and it is completion-based: a request
+// registers a Completion under its sequence number (muxConn.start) and
+// the demux reader invokes it with the response before reading the next
+// frame. A blocking call is that primitive with a completion that copies
+// the response and sends it on a channel (muxConn.do); a proxy relays
+// from inside the completion and never parks a goroutine on the request
+// (Client.GetAsync).
+//
+// Timeouts are deadline sweeps, not per-request timers: each pending
+// request records its deadline and a per-connection janitor expires
+// overdue ones on a coarse tick (~timeout/8). A timed-out request
+// abandons its pending-map slot (its late response, if any, is dropped
+// on arrival) and the connection keeps serving its neighbors. This keeps
+// the blocking path to one channel receive — no timer arm/stop, no
 // multi-way selects — which is worth ~20% of hot-path CPU at pipelined
 // rates.
 type muxTransport struct {
@@ -77,18 +85,47 @@ func (t *muxTransport) roundTrip(req *proto.Msg) (*proto.Msg, error) {
 		t.opts.MaxAttempts, lastErr)
 }
 
+// start is the non-blocking entry: it begins req on a live connection
+// and reports whether it did. On true, done fires exactly once (see
+// Completion) and req has been encoded — the caller may recycle it. On
+// false nothing was started: the slot has no live connection (first
+// use, or it just broke) and getting one means a dial, which the caller
+// must not sit through on a goroutine it cannot block.
+func (t *muxTransport) start(req *proto.Msg, done Completion) bool {
+	mc := t.slots[t.rr.Add(1)%uint64(len(t.slots))].live()
+	if mc == nil {
+		return false
+	}
+	req.Seq = t.seq.Add(1)
+	return mc.start(req, t.opts.RequestTimeout, done) == nil
+}
+
 func (t *muxTransport) close() error {
 	t.closed.Store(true)
 	for i := range t.slots {
 		s := &t.slots[i]
 		s.mu.Lock()
-		if s.mc != nil {
-			s.mc.fail(ErrClosed)
-			s.mc = nil
-		}
+		mc := s.mc
+		s.mc = nil
 		s.mu.Unlock()
+		if mc != nil {
+			// Outside the slot lock: fail runs the pending completions.
+			mc.fail(ErrClosed)
+		}
 	}
 	return nil
+}
+
+// live returns the slot's connection if it has an unbroken one, without
+// dialing.
+func (s *muxSlot) live() *muxConn {
+	s.mu.Lock()
+	mc := s.mc
+	s.mu.Unlock()
+	if mc == nil || mc.broken() {
+		return nil
+	}
+	return mc
 }
 
 // get returns the slot's live connection, re-dialing a dead or empty
@@ -157,10 +194,25 @@ func dialMux(addr string, timeout, reqTimeout time.Duration) (*muxConn, error) {
 	return newMuxConn(conn, reqTimeout), nil
 }
 
+// Completion receives the outcome of one request. Complete is called
+// exactly once — with the response, or with a nil response and the
+// timeout or connection error — on whichever goroutine settled the
+// request (the connection's reader, its janitor, or the one that broke
+// it), holding no client lock, so it may start further requests. It
+// must not block: the reader serves every request on the connection.
+//
+// resp is lent, not given: it is valid only until Complete returns,
+// its byte slices alias the connection's read buffer, and the client
+// reuses it for the next frame. A completion copies what it keeps and
+// never stores resp or passes it to proto.PutMsg.
+type Completion interface {
+	Complete(resp *proto.Msg, err error)
+}
+
 // muxConn is one multiplexed connection: a writer goroutine draining the
 // send queue with vectored writes, a reader goroutine demuxing responses
-// to waiters by sequence number, and a janitor goroutine expiring
-// waiters past their deadline.
+// to completions by sequence number, and a janitor goroutine expiring
+// requests past their deadline.
 type muxConn struct {
 	c  net.Conn
 	wq chan *frameBuf
@@ -171,33 +223,86 @@ type muxConn struct {
 	// is measurable, and deadline sweeps are tick-grained anyway.
 	now atomic.Int64
 
+	// errTimeout is what the janitor completes an overdue request with.
+	errTimeout error
+
 	mu      sync.Mutex
-	pending map[uint64]*waiter
+	pending map[uint64]pendingReq
 	err     error
 
 	done chan struct{} // closed when the connection breaks
 }
 
-type muxResult struct {
-	m        *proto.Msg
-	err      error
-	timedOut bool
+// pendingReq is one registered request: its completion plus the deadline
+// (coarse-clock UnixNano) the janitor sweeps against. Whoever removes it
+// from the pending map under mc.mu — reader, janitor, or the failure
+// sweep — owns the one call to done, made after unlocking.
+type pendingReq struct {
+	deadline int64
+	done     Completion
 }
 
-// waiter is one request's pooled rendezvous: the buffered channel its
-// result is delivered on plus the deadline (coarse-clock UnixNano) the
-// janitor sweeps against. Exactly one party delivers to ch — whoever
-// removes the waiter from the pending map under mc.mu (reader, janitor,
-// or the failure sweep) — so after the happy-path receive the waiter is
-// clean to reuse. Abandon paths (send-queue stall, conn death before
-// queueing) never pool: a racing delivery may still land in ch, and the
-// pool must not hand out a dirty channel.
+type muxResult struct {
+	m   *proto.Msg
+	err error
+}
+
+// waiter is the blocking call's pooled completion: it takes an owned
+// copy of the lent response and hands it over a buffered channel. The
+// exactly-once rule means the channel holds at most one delivery, so
+// after the receive the waiter is clean to reuse.
 type waiter struct {
-	ch       chan muxResult
-	deadline int64
+	ch chan muxResult
 }
 
 var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan muxResult, 1)} }}
+
+func (w *waiter) Complete(resp *proto.Msg, err error) {
+	w.ch <- muxResult{m: ownedCopy(resp), err: err} // buffered; never blocks
+}
+
+// ownedCopy clones a lent response into a pooled Msg the caller owns
+// (and releases via proto.PutMsg): the value, and a batched response's
+// op values, alias the reader's buffer, and the Ops/Keys/Reports/Freqs
+// slices are reused by the reader's next decode. Op values are copied
+// through one backing buffer — one allocation per batch, not per key.
+// Everything else reachable from a response (Stats, Nodes, Trace,
+// interned strings) is freshly allocated per frame and safe to share.
+func ownedCopy(src *proto.Msg) *proto.Msg {
+	if src == nil {
+		return nil
+	}
+	m := proto.GetMsg()
+	*m = *src
+	m.Value = cloneSlice(src.Value)
+	m.Ops = cloneSlice(src.Ops)
+	m.Keys = cloneSlice(src.Keys)
+	m.Reports = cloneSlice(src.Reports)
+	m.Freqs = cloneSlice(src.Freqs)
+	total := 0
+	for i := range m.Ops {
+		total += len(m.Ops[i].Value)
+	}
+	if total > 0 {
+		buf := make([]byte, 0, total)
+		for i := range m.Ops {
+			if m.Ops[i].Value != nil {
+				start := len(buf)
+				buf = append(buf, m.Ops[i].Value...)
+				m.Ops[i].Value = buf[start:len(buf):len(buf)]
+			}
+		}
+	}
+	return m
+}
+
+// cloneSlice copies s, keeping nil and empty slices allocation-free.
+func cloneSlice[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append([]T(nil), s...)
+}
 
 // frameBuf is a pooled, pre-encoded frame: requests are serialized in
 // the caller's goroutine (parallel across callers, and the request's
@@ -248,8 +353,10 @@ func newMuxConn(c net.Conn, reqTimeout time.Duration) *muxConn {
 	mc := &muxConn{
 		c:       c,
 		wq:      make(chan *frameBuf, 256),
-		pending: make(map[uint64]*waiter),
+		pending: make(map[uint64]pendingReq),
 		done:    make(chan struct{}),
+
+		errTimeout: fmt.Errorf("client: request timed out after %v", reqTimeout),
 	}
 	mc.now.Store(time.Now().UnixNano())
 	go mc.writeLoop()
@@ -258,7 +365,7 @@ func newMuxConn(c net.Conn, reqTimeout time.Duration) *muxConn {
 	return mc
 }
 
-// janitor refreshes the connection's coarse clock and expires waiters
+// janitor refreshes the connection's coarse clock and expires requests
 // past their deadline, so the request path itself never touches a timer
 // or the system clock. The tick is a fraction of the request timeout:
 // late enough to stay cheap (a few wakeups per timeout window), early
@@ -275,6 +382,7 @@ func (mc *muxConn) janitor(reqTimeout time.Duration) {
 	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
+	var overdue []Completion
 	for {
 		select {
 		case <-mc.done:
@@ -282,24 +390,29 @@ func (mc *muxConn) janitor(reqTimeout time.Duration) {
 		case now := <-t.C:
 			nowNs := now.UnixNano()
 			mc.now.Store(nowNs)
-			mc.expire(nowNs)
+			overdue = mc.expire(nowNs, overdue[:0])
 		}
 	}
 }
 
-// expire delivers a timeout to every waiter whose deadline has passed.
-// Delivery happens under mc.mu, which is safe: waiter channels are
-// buffered and each holds at most the one delivery its pending-map
-// removal entitles us to.
-func (mc *muxConn) expire(nowNs int64) {
+// expire times out every request whose deadline has passed. Overdue
+// requests are unregistered under mc.mu and completed after unlocking
+// (a completion may start another request on this connection); scratch
+// is the caller's reusable buffer for them.
+func (mc *muxConn) expire(nowNs int64, scratch []Completion) []Completion {
 	mc.mu.Lock()
-	for seq, w := range mc.pending {
-		if nowNs > w.deadline {
+	for seq, p := range mc.pending {
+		if nowNs > p.deadline {
 			delete(mc.pending, seq)
-			w.ch <- muxResult{timedOut: true}
+			scratch = append(scratch, p.done)
 		}
 	}
 	mc.mu.Unlock()
+	for i, done := range scratch {
+		done.Complete(nil, mc.errTimeout)
+		scratch[i] = nil
+	}
+	return scratch
 }
 
 func (mc *muxConn) broken() bool {
@@ -312,8 +425,9 @@ func (mc *muxConn) broken() bool {
 }
 
 // fail breaks the connection once: records err, closes the socket
-// (unblocking both loops), and errors out every pending waiter so none
-// hang.
+// (unblocking both loops), and errors out every pending request so none
+// hang. The pending map is detached before done closes, so whoever
+// observes done knows the sweep owns every request registered before.
 func (mc *muxConn) fail(err error) {
 	mc.mu.Lock()
 	if mc.err != nil {
@@ -326,102 +440,100 @@ func (mc *muxConn) fail(err error) {
 	mc.mu.Unlock()
 	close(mc.done)
 	mc.c.Close()
-	for _, w := range pend {
-		w.ch <- muxResult{err: err} // buffered; never blocks
+	for _, p := range pend {
+		p.done.Complete(nil, err)
 	}
 }
 
-func (mc *muxConn) failure() error {
+// take unregisters seq, reporting whether it was still pending — in
+// which case the caller now owns its completion.
+func (mc *muxConn) take(seq uint64) (pendingReq, bool) {
 	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.err
-}
-
-func (mc *muxConn) forget(seq uint64) {
-	mc.mu.Lock()
+	p, ok := mc.pending[seq]
 	delete(mc.pending, seq)
 	mc.mu.Unlock()
+	return p, ok
 }
 
-// do submits req and waits for its response. sent reports whether the
-// frame may have reached the wire: false means the request provably
-// never left this client and is safe to retry on another connection.
-func (mc *muxConn) do(req *proto.Msg, timeout time.Duration) (resp *proto.Msg, sent bool, err error) {
+// start encodes req, registers done for its response and queues the
+// frame — the one request path on a connection. A non-nil error means
+// the request provably never left this client and done will not be
+// called: it is safe to retry on another connection. After a nil return
+// done is called exactly once. start blocks only while the send queue is
+// full (the peer has stopped draining the pipe), for at most timeout.
+func (mc *muxConn) start(req *proto.Msg, timeout time.Duration, done Completion) error {
 	fb := frameBufPool.Get().(*frameBuf)
 	b, err := proto.AppendFrame(fb.b[:0], req)
 	fb.b = b
 	if err != nil {
 		putFrameBuf(fb)
-		return nil, false, err
+		return err
 	}
 
-	w := waiterPool.Get().(*waiter)
-	w.deadline = mc.now.Load() + int64(timeout)
 	mc.mu.Lock()
 	if mc.err != nil {
 		err := mc.err
 		mc.mu.Unlock()
 		putFrameBuf(fb)
-		waiterPool.Put(w)
-		return nil, false, err
+		return err
 	}
-	mc.pending[req.Seq] = w
+	mc.pending[req.Seq] = pendingReq{deadline: mc.now.Load() + int64(timeout), done: done}
 	mc.mu.Unlock()
 
 	// Fast path: the send queue has room, which is the overwhelmingly
 	// common case. One non-blocking send, no timer, no select against
 	// done — a conn that breaks from here on is handled by the failure
-	// sweep delivering to the waiter.
+	// sweep completing the request.
 	select {
 	case mc.wq <- fb:
+		return nil
 	default:
-		if resp, sent, err, handled := mc.enqueueSlow(req.Seq, fb, w, timeout); handled {
-			return resp, sent, err
-		}
+		return mc.enqueueSlow(req.Seq, fb, timeout)
 	}
+}
 
+// do submits req and waits for its response, which the caller owns.
+// sent reports whether the frame may have reached the wire: false means
+// the request provably never left this client and is safe to retry on
+// another connection.
+func (mc *muxConn) do(req *proto.Msg, timeout time.Duration) (resp *proto.Msg, sent bool, err error) {
+	w := waiterPool.Get().(*waiter)
+	if err := mc.start(req, timeout, w); err != nil {
+		waiterPool.Put(w) // never registered, or taken back: nothing will deliver
+		return nil, false, err
+	}
 	res := <-w.ch
 	waiterPool.Put(w) // single delivery consumed; clean to reuse
-	if res.timedOut {
-		return nil, true, fmt.Errorf("client: %v request timed out after %v", req.Type, timeout)
-	}
 	return res.m, true, res.err
 }
 
 // enqueueSlow blocks until the full send queue accepts fb, the
-// connection breaks, or a whole timeout passes. handled=true means the
-// request is over and the caller must return (resp, sent, err) as-is;
-// handled=false means fb was queued and the caller should wait on w
-// normally. The waiter is never pooled on an abandon path: a racing
-// delivery may still land in its channel.
-func (mc *muxConn) enqueueSlow(seq uint64, fb *frameBuf, w *waiter, timeout time.Duration) (resp *proto.Msg, sent bool, err error, handled bool) {
+// connection breaks, or a whole timeout passes; its result is start's.
+func (mc *muxConn) enqueueSlow(seq uint64, fb *frameBuf, timeout time.Duration) error {
 	timer := getTimer(timeout)
 	defer putTimer(timer)
 	select {
 	case mc.wq <- fb:
-		return nil, false, nil, false
+		return nil
 	case <-mc.done:
-		// Broken before the frame was queued; the failure sweep may have
-		// already delivered the error.
-		mc.forget(seq)
+		// Broken before the frame was queued. The failure sweep (or,
+		// earlier, the janitor) owns the request and completes it.
 		putFrameBuf(fb)
-		select {
-		case res := <-w.ch:
-			return nil, false, res.err, true
-		default:
-		}
-		return nil, false, mc.failure(), true
+		return nil
 	case <-timer.C:
 		// The send queue stayed full for a whole request timeout: the
 		// peer has stopped draining the pipe. Unlike a slow response,
 		// this wedges every future request, so break the connection. The
-		// frame was never queued, so the request is safe to retry on
-		// another connection (sent=false).
-		mc.forget(seq)
+		// frame was never queued, so if the request is still ours to
+		// take back it is safe to retry on another connection.
 		putFrameBuf(fb)
+		_, ours := mc.take(seq)
 		serr := fmt.Errorf("client: send queue stalled for %v", timeout)
 		mc.fail(serr)
-		return nil, false, serr, true
+		if ours {
+			return serr
+		}
+		return nil // the janitor got there first and timed it out
 	}
 }
 
@@ -430,7 +542,9 @@ func (mc *muxConn) enqueueSlow(seq uint64, fb *frameBuf, w *waiter, timeout time
 // place, with zero intermediate copies.
 func (mc *muxConn) writeLoop() {
 	var fbs []*frameBuf
-	var iov net.Buffers
+	// bufs is the copy of iov's header that WriteTo consumes; its
+	// receiver escapes, so it is declared once, not per write.
+	var iov, bufs net.Buffers
 	for {
 		select {
 		case fb := <-mc.wq:
@@ -454,7 +568,7 @@ func (mc *muxConn) writeLoop() {
 				}
 				// WriteTo consumes its receiver; pass a copy of the
 				// slice header so iov's backing array stays reusable.
-				bufs := iov
+				bufs = iov
 				_, err = bufs.WriteTo(mc.c)
 				for i := range iov {
 					iov[i] = nil
@@ -485,17 +599,23 @@ func (mc *muxConn) drainQueued(fbs []*frameBuf) []*frameBuf {
 	}
 }
 
-// readLoop demuxes responses to their waiters by sequence number. A
-// frame with no waiter (a late response whose waiter timed out, or a
-// stray push) is dropped; the connection survives. Response Msgs come
-// from the shared pool; the caller that receives one owns it and
-// returns it via proto.PutMsg.
+// maxRetainedOps bounds the op-slice capacity the reader's Msg keeps
+// across frames, so one giant batched response does not pin its decode
+// buffer for the connection's lifetime.
+const maxRetainedOps = 4096
+
+// readLoop demuxes responses to their completions by sequence number. A
+// frame with no pending request (a late response whose request timed
+// out, or a stray push) is dropped; the connection survives. Every
+// response is decoded into the one Msg this loop owns and lent to its
+// completion, which runs to the end before the next frame is read — so
+// the value still aliases the read buffer and a relaying completion
+// re-encodes it without a copy.
 func (mc *muxConn) readLoop() {
 	r := proto.NewReader(mc.c)
+	var m proto.Msg
 	for {
-		m := proto.GetMsg()
-		if err := r.ReadMsgInto(m); err != nil {
-			proto.PutMsg(m)
+		if err := r.ReadMsgInto(&m); err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				mc.fail(ErrClosed)
 			} else {
@@ -503,41 +623,11 @@ func (mc *muxConn) readLoop() {
 			}
 			return
 		}
-		mc.mu.Lock()
-		w := mc.pending[m.Seq]
-		delete(mc.pending, m.Seq)
-		mc.mu.Unlock()
-		if w == nil {
-			proto.PutMsg(m)
-			continue
+		if p, ok := mc.take(m.Seq); ok {
+			p.done.Complete(&m, nil)
 		}
-		if m.Value != nil {
-			// The value aliases the reader's buffer and the waiter
-			// consumes asynchronously; copy before the next ReadMsgInto
-			// invalidates it.
-			m.Value = append([]byte(nil), m.Value...)
+		if cap(m.Ops) > maxRetainedOps {
+			m.Ops = nil
 		}
-		if len(m.Ops) > 0 {
-			// Batched responses (MGETRESP/MPUTRESP): each op's value
-			// aliases the reader's buffer too. Copy them all through one
-			// backing buffer — one allocation per batch, not per key. The
-			// op keys are interned strings, safe to retain; the Ops slice
-			// itself belongs to this pooled Msg.
-			total := 0
-			for i := range m.Ops {
-				total += len(m.Ops[i].Value)
-			}
-			if total > 0 {
-				buf := make([]byte, 0, total)
-				for i := range m.Ops {
-					if m.Ops[i].Value != nil {
-						start := len(buf)
-						buf = append(buf, m.Ops[i].Value...)
-						m.Ops[i].Value = buf[start:len(buf):len(buf)]
-					}
-				}
-			}
-		}
-		w.ch <- muxResult{m: m}
 	}
 }

@@ -339,3 +339,189 @@ func TestMuxValueDoesNotAliasFramingBuffer(t *testing.T) {
 		t.Errorf("value aliased the framing buffer: %q", va)
 	}
 }
+
+// recorder is a Completion that decodes the lent response in place,
+// optionally starts a follow-up request from inside the call (which
+// deadlocks if the client invokes completions under one of its locks),
+// and counts how often it was called.
+type recorder struct {
+	key   string
+	then  func()
+	calls atomic.Int32
+	got   chan recorded // buffered: a second call is counted, never blocks
+}
+
+type recorded struct {
+	value string
+	err   error
+}
+
+func newRecorder(key string, then func()) *recorder {
+	return &recorder{key: key, then: then, got: make(chan recorded, 4)}
+}
+
+func (r *recorder) Complete(resp *proto.Msg, err error) {
+	r.calls.Add(1)
+	rec := recorded{err: err}
+	if err == nil {
+		var v []byte
+		v, _, rec.err = DecodeGet(resp, r.key)
+		rec.value = string(v) // copied: resp is only lent
+	}
+	if r.then != nil {
+		r.then()
+	}
+	r.got <- rec
+}
+
+func (r *recorder) wait(t *testing.T) recorded {
+	t.Helper()
+	select {
+	case rec := <-r.got:
+		return rec
+	case <-time.After(5 * time.Second):
+		t.Fatalf("completion for %q never fired", r.key)
+		return recorded{}
+	}
+}
+
+// TestCompletionFiresExactlyOnce settles an asynchronous GET each of the
+// ways a request can end — response, janitor timeout, connection failure,
+// Close — and checks that its completion runs exactly once, with the
+// right outcome, and outside the client's locks: every completion starts
+// a follow-up request on the same client from inside the call.
+func TestCompletionFiresExactlyOnce(t *testing.T) {
+	cases := []struct {
+		name      string
+		key       string
+		dropAfter int
+		settle    func(c *Client, release chan struct{})
+		check     func(t *testing.T, rec recorded)
+		followErr error // what the follow-up started inside the completion sees
+	}{
+		{
+			name: "response", key: "answered",
+			check: func(t *testing.T, rec recorded) {
+				if rec.err != nil || rec.value != "answered" {
+					t.Errorf("completion got %q, %v", rec.value, rec.err)
+				}
+			},
+		},
+		{
+			name: "timeout", key: "blackhole",
+			check: func(t *testing.T, rec recorded) {
+				if rec.err == nil || !strings.Contains(rec.err.Error(), "timed out") {
+					t.Errorf("completion got %v, want a timeout", rec.err)
+				}
+			},
+		},
+		{
+			// The server severs the connection after the warm-up ping and
+			// the parked GET; the follow-up re-dials.
+			name: "connection failure", key: "blackhole", dropAfter: 2,
+			check: func(t *testing.T, rec recorded) {
+				if rec.err == nil || strings.Contains(rec.err.Error(), "timed out") {
+					t.Errorf("completion got %v, want a connection error", rec.err)
+				}
+			},
+		},
+		{
+			name: "close", key: "blackhole",
+			settle: func(c *Client, _ chan struct{}) { c.Close() },
+			check: func(t *testing.T, rec recorded) {
+				if !errors.Is(rec.err, ErrClosed) {
+					t.Errorf("completion got %v, want ErrClosed", rec.err)
+				}
+			},
+			followErr: ErrClosed,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			s := startMuxTestServer(t, func(m *proto.Msg) *proto.Msg {
+				if m.Key == "blackhole" {
+					<-release
+				}
+				return echoHandler(m)
+			}, tc.dropAfter)
+			c := New(s.addr(), Options{MaxConns: 1, RequestTimeout: 150 * time.Millisecond})
+			defer c.Close()
+			if err := c.Ping(); err != nil { // a live connection: the in-place path
+				t.Fatal(err)
+			}
+
+			follow := newRecorder("follow-up", nil)
+			first := newRecorder(tc.key, func() { c.GetAsync("follow-up", nil, follow) })
+			req := newReq(proto.MsgGet)
+			req.Key = tc.key
+			if !c.tr.start(req, first) {
+				t.Fatal("start refused a live connection")
+			}
+			proto.PutMsg(req)
+			if tc.settle != nil {
+				time.Sleep(20 * time.Millisecond) // let the request reach the wire
+				tc.settle(c, release)
+			}
+			tc.check(t, first.wait(t))
+			if rec := follow.wait(t); !errors.Is(rec.err, tc.followErr) || (tc.followErr == nil && rec.value != "follow-up") {
+				t.Errorf("follow-up started inside the completion got %q, %v; want error %v", rec.value, rec.err, tc.followErr)
+			}
+
+			// The parked request's late answer (and anything else) must not
+			// fire the completion again.
+			close(release)
+			for i := 0; i < 3; i++ {
+				c.Ping() //nolint:errcheck // only flushing late responses through the reader
+			}
+			time.Sleep(50 * time.Millisecond)
+			if n := first.calls.Load(); n != 1 {
+				t.Errorf("completion fired %d times, want exactly 1", n)
+			}
+			if n := follow.calls.Load(); n != 1 {
+				t.Errorf("follow-up completion fired %d times, want exactly 1", n)
+			}
+		})
+	}
+}
+
+// TestGetAsyncColdAndServerErrors covers the two ends the table above
+// does not: a client with no connection yet (the dial runs off the
+// caller's goroutine and the answer is lent the same way), and answers
+// that DecodeGet must turn into the errors Get returns.
+func TestGetAsyncColdAndServerErrors(t *testing.T) {
+	s := startMuxTestServer(t, func(m *proto.Msg) *proto.Msg {
+		switch m.Key {
+		case "missing":
+			return &proto.Msg{Type: proto.MsgGetResp, Status: proto.StatusNotFound}
+		case "refused":
+			return &proto.Msg{Type: proto.MsgErr, Err: "no"}
+		}
+		return echoHandler(m)
+	}, 0)
+	c := New(s.addr(), Options{MaxConns: 1})
+	defer c.Close()
+
+	cold := newRecorder("cold", nil)
+	c.GetAsync("cold", nil, cold)
+	if rec := cold.wait(t); rec.err != nil || rec.value != "cold" {
+		t.Fatalf("cold GetAsync got %q, %v", rec.value, rec.err)
+	}
+	for key, want := range map[string]error{"missing": ErrNotFound, "refused": ErrServer} {
+		r := newRecorder(key, nil)
+		c.GetAsync(key, nil, r)
+		if rec := r.wait(t); !errors.Is(rec.err, want) {
+			t.Errorf("GetAsync(%q) decoded to %v, want %v", key, rec.err, want)
+		}
+		if _, _, err := c.Get(key); !errors.Is(err, want) {
+			t.Errorf("Get(%q) = %v, want %v", key, err, want)
+		}
+	}
+	dead := New(deadAddr(t), Options{MaxConns: 1, DialTimeout: time.Second})
+	defer dead.Close()
+	r := newRecorder("k", nil)
+	dead.GetAsync("k", nil, r)
+	if rec := r.wait(t); rec.err == nil {
+		t.Error("GetAsync to a dead address completed without an error")
+	}
+}

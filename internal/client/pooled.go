@@ -162,6 +162,10 @@ func (p *pooledTransport) doOnce(req *proto.Msg) (*proto.Msg, bool, error) {
 	return resp, false, nil
 }
 
+// start never begins a request: every exchange on this transport blocks
+// its caller for the whole round trip.
+func (p *pooledTransport) start(*proto.Msg, Completion) bool { return false }
+
 func (p *pooledTransport) close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -7,6 +7,17 @@
 // It is a message-level proxy built on the same client pools the caches
 // use.
 //
+// A GET — the read path the whole design exists for — is relayed by
+// continuation: the connection's read loop picks the cache, starts the
+// upstream request and moves on; the upstream connection's reader then
+// runs the completion (relay.Complete), which encodes the downstream
+// response straight from the borrowed upstream one and queues the frame
+// to the client connection's writer. No goroutine is spawned and no
+// message changes hands for it. PUT, MGET and MPUT block on the sharded
+// client's failover and scatter-gather, so each gets a dispatcher
+// goroutine. Either way responses on one connection may overtake one
+// another; the client matches them by Seq.
+//
 // Close is graceful: the listener stops accepting, in-flight proxied
 // requests drain (bounded by DrainTimeout), and only then are the
 // upstream client pools torn down — mirroring how the store and cache
@@ -19,8 +30,10 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"freshcache/internal/client"
@@ -91,18 +104,25 @@ type Server struct {
 	// operations (MGET/MPUT).
 	batchSize stats.Histogram
 
-	mu     sync.Mutex
-	ln     net.Listener
-	watch  *cluster.Watcher // nil outside cluster mode
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-	// inflight tracks proxied request/response exchanges so Close can
-	// drain them before tearing down the upstream clients. draining
-	// gates new registrations (under mu) so an Add can never race
-	// Close's Wait from a zero counter.
-	inflight sync.WaitGroup
-	draining bool
+	mu      sync.Mutex
+	ln      net.Listener
+	watch   *cluster.Watcher // nil outside cluster mode
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup
+	closing bool // Close has begun; guards its once-only drain step
+
+	// inflight counts proxied request/response exchanges so Close can
+	// drain them before tearing down the upstream clients. Its sign bit
+	// (drainFlag) is set by Close: from then on beginRequest refuses, so
+	// the count only falls, and whoever brings it to zero closes drained.
+	// One word carries both, so a registration can never slip in between
+	// Close's "draining" and its "nothing in flight" — and the request
+	// path touches no lock.
+	inflight atomic.Int64
+	drained  chan struct{}
 }
+
+const drainFlag = math.MinInt64
 
 // New builds a balancer. In cluster mode the store ring is fetched
 // from the coordinator (which must be reachable within a few seconds).
@@ -153,7 +173,7 @@ func New(cfg Config) (*Server, error) {
 		stores.Close()
 		return nil, fmt.Errorf("lb: %w", err)
 	}
-	s := &Server{cfg: cfg, stores: stores, cacheRing: cacheRing}
+	s := &Server{cfg: cfg, stores: stores, cacheRing: cacheRing, drained: make(chan struct{})}
 	for _, addr := range cacheRing.Nodes() {
 		s.caches = append(s.caches, client.New(addr, client.Options{}))
 	}
@@ -221,7 +241,15 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			cancel()
+			s.mu.Lock()
+			closing := s.closing
+			s.mu.Unlock()
+			if !closing {
+				// The listener died on its own. Under Close the client
+				// connections must outlive it: Close cancels them itself,
+				// once the requests in flight have been answered.
+				cancel()
+			}
 			return fmt.Errorf("lb: accept: %w", err)
 		}
 		s.wg.Add(1)
@@ -246,19 +274,18 @@ func (s *Server) Addr() net.Addr {
 func (s *Server) Close() error {
 	s.mu.Lock()
 	ln, cancel := s.ln, s.cancel
-	s.draining = true
+	first := !s.closing
+	s.closing = true
 	s.mu.Unlock()
 	var err error
 	if ln != nil {
 		err = ln.Close()
 	}
-	drained := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(drained)
-	}()
+	if first && s.inflight.Add(drainFlag) == drainFlag {
+		close(s.drained) // nothing was in flight
+	}
 	select {
-	case <-drained:
+	case <-s.drained:
 	case <-time.After(s.cfg.DrainTimeout):
 		s.cfg.Logger.Printf("lb: drain timeout after %v, aborting in-flight proxies", s.cfg.DrainTimeout)
 	}
@@ -276,53 +303,78 @@ func (s *Server) Close() error {
 // beginRequest registers an in-flight exchange unless Close has begun
 // draining.
 func (s *Server) beginRequest() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
+	for {
+		n := s.inflight.Load()
+		if n < 0 {
+			return false
+		}
+		if s.inflight.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	s.inflight.Add(1)
-	return true
+}
+
+// endRequests retires n exchanges whose responses were flushed or
+// abandoned; the one that empties a draining server releases Close.
+func (s *Server) endRequests(n int) {
+	if s.inflight.Add(-int64(n)) == drainFlag {
+		close(s.drained)
+	}
 }
 
 // maxConnInflight bounds the concurrently proxied requests per client
 // connection; beyond it the read loop exerts backpressure.
 const maxConnInflight = 256
 
+// clientConn is what one client connection's read loop shares with the
+// dispatcher goroutines and GET completions answering on it.
+type clientConn struct {
+	s   *Server
+	out chan proto.Outgoing
+	// sem holds one slot per request in flight (maxConnInflight);
+	// answering waits them all out before out is closed.
+	sem       chan struct{}
+	answering sync.WaitGroup
+}
+
+func (cc *clientConn) acquire() {
+	cc.sem <- struct{}{}
+	cc.answering.Add(1)
+}
+
+func (cc *clientConn) release() {
+	<-cc.sem
+	cc.answering.Done()
+}
+
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.wg.Done()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	out := make(chan proto.Outgoing, 64)
+	cc := &clientConn{
+		s:   s,
+		out: make(chan proto.Outgoing, 64),
+		sem: make(chan struct{}, maxConnInflight),
+	}
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		// Each response's inflight slot is released only once its frame
 		// is flushed (or abandoned on a dead connection), so Close's
 		// drain wait means "responded", not merely "queued".
-		proto.WriteQueueFlushed(conn, out, conn, func(n int) {
-			for i := 0; i < n; i++ {
-				s.inflight.Done()
-			}
-		})
+		proto.WriteQueueFlushed(conn, cc.out, conn, s.endRequests)
 	}()
 
-	// Requests on one connection are dispatched concurrently (bounded by
-	// maxConnInflight) and may be answered out of order — each response
-	// echoes its request's Seq, and the pipelined client demuxes by it.
-	// Without this, one proxied upstream round trip would stall every
-	// request queued behind it on the connection.
-	var dispatchers sync.WaitGroup
-	sem := make(chan struct{}, maxConnInflight)
-
+	// Requests on one connection are answered concurrently (bounded by
+	// maxConnInflight) and possibly out of order — each response echoes
+	// its request's Seq, and the pipelined client demuxes by it. Without
+	// this, one proxied upstream round trip would stall every request
+	// queued behind it on the connection.
 	r := proto.NewReader(conn)
+	m := proto.GetMsg()
 	for {
-		// Pooled request Msg: the dispatcher goroutine owns it and
-		// returns it to the pool when done.
-		m := proto.GetMsg()
 		if err := r.ReadMsgInto(m); err != nil {
-			proto.PutMsg(m)
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil {
 				s.c.MalformedFrames.Inc()
 				s.cfg.Logger.Printf("lb: conn %s: %v", conn.RemoteAddr(), err)
@@ -330,8 +382,15 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 			break
 		}
 		if !s.beginRequest() {
-			proto.PutMsg(m)
 			break // draining: reject requests arriving after Close
+		}
+		cc.acquire()
+		tr := proto.StartSpan(m, "lb")
+		if m.Type == proto.MsgGet {
+			// Run to completion: nothing of m outlives this iteration
+			// (the key is an interned string), so it is reused as is.
+			s.relayGet(cc, m, tr)
+			continue
 		}
 		if m.Value != nil {
 			// The value aliases the reader's buffer, which the next
@@ -356,25 +415,97 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 				m.Ops[i].Value = buf[start:len(buf):len(buf)]
 			}
 		}
-		sem <- struct{}{}
-		dispatchers.Add(1)
+		// The dispatcher goroutine owns the request Msg from here and
+		// returns it to the pool; the loop reads on into a fresh one.
 		go func(m *proto.Msg) {
-			defer func() {
-				<-sem
-				dispatchers.Done()
-			}()
-			tr := proto.StartSpan(m, "lb")
+			defer cc.release()
 			resp := s.route(m, tr)
 			resp.Seq = m.Seq
 			proto.PutMsg(m)
 			// inflight is released by the writer post-flush.
-			out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
+			cc.out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
 		}(m)
+		m = proto.GetMsg()
 	}
-	dispatchers.Wait()
-	close(out)
+	proto.PutMsg(m)
+	cc.answering.Wait()
+	close(cc.out)
 	<-writerDone
 	conn.Close()
+}
+
+// relay is one GET in flight to a cache: the completion that turns the
+// cache's answer into the client's. Pooled; the exactly-once rule of
+// client.Completion is what makes recycling it in Complete safe.
+type relay struct {
+	cc    *clientConn
+	seq   uint64 // the client's sequence number, re-stamped on the answer
+	key   string
+	tr    *proto.SpanRec
+	start time.Time
+}
+
+var relayPool = sync.Pool{New: func() any { return new(relay) }}
+
+// relayGet routes a GET by key affinity and starts it upstream; the
+// answer is relayed by (*relay).Complete.
+func (s *Server) relayGet(cc *clientConn, m *proto.Msg, tr *proto.SpanRec) {
+	s.c.Reads.Inc()
+	g := relayPool.Get().(*relay)
+	*g = relay{cc: cc, seq: m.Seq, key: m.Key, tr: tr, start: time.Now()}
+	var trace *proto.Trace
+	if tr != nil {
+		trace = &proto.Trace{ID: tr.ID()}
+	}
+	s.cacheFor(m.Key).GetAsync(m.Key, trace, g)
+}
+
+// Complete relays the cache's answer to the client connection. It runs
+// on the upstream connection's reader, which every client connection
+// shares, so it must not wait for this one client: resp is encoded here,
+// while it is still valid, into a pooled frame, and the frame is queued
+// without blocking.
+func (g *relay) Complete(resp *proto.Msg, err error) {
+	cc, s := g.cc, g.cc.s
+	s.readRTT.Observe(float64(time.Since(g.start)))
+	down := proto.Msg{Type: proto.MsgGetResp, Seq: g.seq, Status: proto.StatusOK}
+	if err == nil {
+		g.tr.Add(resp.Trace)
+		down.Value, down.Version, err = client.DecodeGet(resp, g.key)
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, client.ErrNotFound):
+		down.Status = proto.StatusNotFound
+	default:
+		s.c.Errors.Inc()
+		down = proto.Msg{Type: proto.MsgErr, Seq: g.seq, Err: err.Error()}
+	}
+	o := proto.Outgoing{}
+	if frame, err := proto.EncodeShared(s.finishTrace(g.tr, &down), 1); err == nil {
+		o.Raw = frame
+	} else {
+		// The answer outgrew MaxFrame on re-encoding (a near-limit value
+		// plus this hop's span).
+		s.c.Errors.Inc()
+		o.Msg = &proto.Msg{Type: proto.MsgErr, Seq: g.seq, Err: err.Error()}
+	}
+	*g = relay{}
+	relayPool.Put(g)
+
+	// inflight is released by the writer post-flush.
+	select {
+	case cc.out <- o:
+		cc.release()
+	default:
+		// This client is not draining its responses. Park the one frame
+		// on a goroutine (at most maxConnInflight of them: the slot is
+		// held until the frame is queued) instead of stalling the reader.
+		go func() {
+			cc.out <- o
+			cc.release()
+		}()
+	}
 }
 
 // finishTrace closes a traced request's hop span on its response and
@@ -390,33 +521,6 @@ func (s *Server) finishTrace(tr *proto.SpanRec, resp *proto.Msg) *proto.Msg {
 
 func (s *Server) route(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 	switch m.Type {
-	case proto.MsgGet:
-		s.c.Reads.Inc()
-		start := time.Now()
-		var (
-			value   []byte
-			version uint64
-			err     error
-		)
-		if tr != nil {
-			var ct *proto.Trace
-			value, version, ct, err = s.cacheFor(m.Key).GetTraced(m.Key, tr.ID())
-			tr.Add(ct)
-		} else {
-			value, version, err = s.cacheFor(m.Key).Get(m.Key)
-		}
-		s.readRTT.Observe(float64(time.Since(start)))
-		resp := proto.GetMsg()
-		switch {
-		case err == nil:
-			resp.Type, resp.Status, resp.Version, resp.Value = proto.MsgGetResp, proto.StatusOK, version, value
-		case errors.Is(err, client.ErrNotFound):
-			resp.Type, resp.Status = proto.MsgGetResp, proto.StatusNotFound
-		default:
-			s.c.Errors.Inc()
-			resp.Type, resp.Err = proto.MsgErr, err.Error()
-		}
-		return resp
 	case proto.MsgPut:
 		s.c.Writes.Inc()
 		start := time.Now()

@@ -573,6 +573,9 @@ type burst struct {
 	scratch []byte
 	chunks  []burstChunk
 	iov     net.Buffers
+	// wv is the copy of iov's header that WriteTo consumes. WriteTo's
+	// receiver escapes, so a local would cost one allocation per flush.
+	wv net.Buffers
 }
 
 // burstChunk is one element of the outgoing vector: a pre-encoded
@@ -651,9 +654,15 @@ func (q *burst) flush(w io.Writer) error {
 	var err error
 	switch {
 	case len(q.chunks) == 0:
-	case len(q.chunks) == 1 && q.chunks[0].raw == nil:
-		// Common case: an all-Msg burst is one contiguous write.
-		_, err = w.Write(q.scratch[q.chunks[0].start:q.chunks[0].end])
+	case len(q.chunks) == 1:
+		// Common case: an all-Msg burst, or a lone shared frame, is one
+		// contiguous write.
+		c := q.chunks[0]
+		if c.raw != nil {
+			_, err = w.Write(c.raw.Bytes())
+		} else {
+			_, err = w.Write(q.scratch[c.start:c.end])
+		}
 	default:
 		q.iov = q.iov[:0]
 		for _, c := range q.chunks {
@@ -665,8 +674,8 @@ func (q *burst) flush(w io.Writer) error {
 		}
 		// WriteTo consumes a copy of the header so q.iov's backing
 		// array is reused next burst; on a net.Conn it is one writev.
-		bufs := q.iov
-		_, err = bufs.WriteTo(w)
+		q.wv = q.iov
+		_, err = q.wv.WriteTo(w)
 	}
 	q.reset()
 	if err != nil {
@@ -921,19 +930,21 @@ func appendPayload(b []byte, m *Msg) ([]byte, error) {
 // Reader decodes frames from an io.Reader.
 // Reader is not safe for concurrent use.
 type Reader struct {
-	br     *bufio.Reader
-	buf    []byte
-	intern map[string]string
+	br  *bufio.Reader
+	buf []byte
+	// intern and internOld are the two generations of the key-intern
+	// table (see internString).
+	intern, internOld map[string]string
 	// hdr is the frame-header scratch. A local array would escape to the
 	// heap through the io.ReadFull interface call — one allocation per
 	// frame on every hot read loop in the system.
 	hdr [4]byte
 }
 
-// internLimit bounds the Reader's key-intern table; when it fills it is
-// swapped for a fresh one, so a churning keyspace costs a periodic
-// re-warm rather than unbounded growth. maxInternLen keeps giant keys
-// out of the table.
+// internLimit bounds the Reader's key-intern table — both generations
+// together, internLimit/2 strings each — so a churning keyspace costs
+// bounded memory rather than unbounded growth. maxInternLen keeps giant
+// keys out of the table.
 const (
 	internLimit  = 4096
 	maxInternLen = 64
@@ -1007,19 +1018,33 @@ func (r *Reader) ReadMsgInto(m *Msg) error {
 
 // internString returns a canonical string for b, so a hot key's name is
 // allocated once per connection instead of once per frame. The map
-// lookup itself is allocation-free (string(b) used as a map index does
-// not escape).
+// lookups themselves are allocation-free (string(b) used as a map index
+// does not escape).
+//
+// The table is two-generation: lookups try the young generation, then
+// the old one, and a hit in the old one is carried over into the young.
+// When the young generation fills (half of internLimit) it becomes the
+// old one and the previous old one is dropped — so a key seen at least
+// once per generation (every hot key of a skewed workload)
+// survives rollover with its one allocation, and only keys colder than
+// that are dropped.
 func (r *Reader) internString(b []byte) string {
 	if s, ok := r.intern[string(b)]; ok {
 		return s
 	}
-	if len(r.intern) >= internLimit {
-		r.intern = nil
+	s, ok := r.internOld[string(b)]
+	if !ok {
+		s = string(b)
+	}
+	if len(r.intern) >= internLimit/2 {
+		// A fresh small table rather than the emptied old one: a cleared
+		// map keeps its full bucket array, and most Readers never fill a
+		// generation again.
+		r.intern, r.internOld = nil, r.intern
 	}
 	if r.intern == nil {
 		r.intern = make(map[string]string, 64)
 	}
-	s := string(b)
 	r.intern[s] = s
 	return s
 }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func roundTrip(t *testing.T, m *Msg) *Msg {
@@ -314,5 +316,40 @@ func BenchmarkRoundTripBatch(b *testing.B) {
 		if _, err := NewReader(&buf).ReadMsg(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The intern table is two-generation: a key seen at least once per
+// generation keeps its one allocation across rollovers, colder keys are
+// dropped, and the two generations together never exceed internLimit.
+func TestInternSurvivesRollover(t *testing.T) {
+	r := NewReader(nil)
+	hot := []byte("hot-key")
+	first := r.internString(hot)
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+
+	key := make([]byte, 0, 16)
+	for i := 0; i < 5*internLimit; i++ {
+		key = strconv.AppendInt(append(key[:0], "cold-"...), int64(i), 10)
+		r.internString(key)
+		if i%(internLimit/4) == 0 && !same(r.internString(hot), first) {
+			t.Fatalf("hot key re-allocated after %d cold keys", i)
+		}
+		if n := len(r.intern) + len(r.internOld); n > internLimit {
+			t.Fatalf("intern tables hold %d strings, bound is %d", n, internLimit)
+		}
+	}
+	if !same(r.internString(hot), first) {
+		t.Fatal("hot key re-allocated")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.internString(hot) }); allocs != 0 {
+		t.Errorf("interning a resident key allocates %.1f objects", allocs)
+	}
+	// A key not seen for two whole generations is gone.
+	if _, ok := r.intern["cold-0"]; ok {
+		t.Error("cold-0 still in the young generation")
+	}
+	if _, ok := r.internOld["cold-0"]; ok {
+		t.Error("cold-0 still in the old generation")
 	}
 }

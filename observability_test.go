@@ -300,3 +300,32 @@ func TestTraceSamplingOffNoOverhead(t *testing.T) {
 		t.Fatal("nil recorder attached a trace")
 	}
 }
+
+// TestReadHitAllocationPin holds the run-to-completion read path to its
+// allocation budget: one GET answered from the cache, through client →
+// LB → cache and back, allocates at most 3 objects in the whole process
+// (the client's copy of the value is the one that must remain). A
+// goroutine spawned per request at either hop, or a response copied
+// between goroutines, costs two or more each and trips this.
+func TestReadHitAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own and makes sync.Pool drop objects")
+	}
+	// T of an hour: no flush, push or read report runs in the background
+	// while allocations are being counted.
+	_, _, _, c := obsStack(t, time.Hour)
+	if _, err := c.Put("pinned", make([]byte, 128)); err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		if v, _, err := c.Get("pinned"); err != nil || len(v) != 128 {
+			t.Fatalf("Get = %d bytes, %v", len(v), err)
+		}
+	}
+	for i := 0; i < 100; i++ { // resident, connections up, pools and intern tables warm
+		get()
+	}
+	if allocs := testing.AllocsPerRun(2000, get); allocs > 3 {
+		t.Errorf("a cache hit through the LB allocates %.0f objects, budget is 3", allocs)
+	}
+}

@@ -6,6 +6,13 @@
 // reader; a caller that stows one in a struct, global, map, or channel
 // lets it outlive the borrow (the frame is recycled on Release, the
 // entry buffer's immutability promise only covers the lending scope).
+//
+// The same contract covers the response *proto.Msg lent to a client
+// completion (a Complete(resp *proto.Msg, err error) method, see
+// client.Completion): the client decodes every frame into that one Msg
+// and its byte slices alias the connection's read buffer, so it — and
+// its slice fields — are valid only until Complete returns, and it is
+// not the completion's to release.
 package borrowedview
 
 import (
@@ -32,7 +39,13 @@ they may flow into serve/flush calls within the scope, but must not be
 written through (index assignment, copy destination, append) and must
 not be stored into struct fields, package-level variables, map or slice
 elements, or sent on channels. Paths that need an owned copy must use
-Authority.Get, or copy explicitly.`,
+Authority.Get, or copy explicitly.
+
+The *proto.Msg parameter of a completion — a method
+Complete(resp *proto.Msg, err error) — is borrowed the same way, together
+with its slice fields (resp.Value, resp.Ops, ...): it may be read and
+passed down, but not retained, written through, or handed to
+proto.PutMsg.`,
 	Run: run,
 }
 
@@ -53,6 +66,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 //	value, ver, w, ok := auth.GetViewAged(key)     // value borrowed
 //	auth.GetViewAgedBatch(keys, func(i int, value []byte, ...) {...})
 //	b := frame.Bytes()                             // b borrowed
+//	func (c *T) Complete(resp *proto.Msg, err error) // resp lent
 func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 	borrowed := make(map[*types.Var]string)
 	mark := func(expr ast.Expr, what string) {
@@ -71,6 +85,10 @@ func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if resp := completionMsg(pass, n); resp != nil {
+					mark(resp, lentMsg)
+				}
 			case *ast.AssignStmt:
 				if len(n.Rhs) != 1 {
 					return true
@@ -109,14 +127,65 @@ func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 	return borrowed
 }
 
+// lentMsg labels the response Msg lent to a completion.
+const lentMsg = "completion's lent Msg"
+
+// completionMsg returns the name of the lent response parameter if fd
+// is a completion method — Complete(resp *proto.Msg, err error) — or nil.
+func completionMsg(pass *analysis.Pass, fd *ast.FuncDecl) *ast.Ident {
+	if fd.Recv == nil || fd.Name.Name != "Complete" || fd.Type.Results != nil {
+		return nil
+	}
+	var names []*ast.Ident
+	for _, p := range fd.Type.Params.List {
+		names = append(names, p.Names...)
+	}
+	if len(names) != 2 {
+		return nil
+	}
+	typeOf := func(id *ast.Ident) types.Type {
+		if obj := pass.TypesInfo.Defs[id]; obj != nil {
+			return obj.Type()
+		}
+		return nil
+	}
+	resp, errT := typeOf(names[0]), typeOf(names[1])
+	if resp == nil || errT == nil {
+		return nil
+	}
+	if _, isPtr := resp.(*types.Pointer); !isPtr || !lintutil.TypeIs(resp, protoPkg, "Msg") {
+		return nil
+	}
+	if !types.Identical(errT, types.Universe.Lookup("error").Type()) {
+		return nil
+	}
+	return names[0]
+}
+
+// borrowedRef is one mention of a borrowed buffer: name is how the
+// source spells it, what says who lent it.
+type borrowedRef struct{ name, what string }
+
 func checkUses(pass *analysis.Pass, file *ast.File, borrowed map[*types.Var]string) {
-	isBorrowed := func(expr ast.Expr) (*types.Var, string, bool) {
+	isBorrowed := func(expr ast.Expr) (borrowedRef, bool) {
+		expr = ast.Unparen(expr)
+		if sel, ok := expr.(*ast.SelectorExpr); ok {
+			// A slice field of a lent Msg is as borrowed as the Msg.
+			v := lintutil.VarOf(pass.TypesInfo, sel.X)
+			if v == nil || borrowed[v] != lentMsg {
+				return borrowedRef{}, false
+			}
+			if _, isSlice := pass.TypesInfo.TypeOf(sel).Underlying().(*types.Slice); !isSlice {
+				return borrowedRef{}, false
+			}
+			return borrowedRef{v.Name() + "." + sel.Sel.Name, lentMsg}, true
+		}
 		v := lintutil.VarOf(pass.TypesInfo, expr)
 		if v == nil {
-			return nil, "", false
+			return borrowedRef{}, false
 		}
 		what, ok := borrowed[v]
-		return v, what, ok
+		return borrowedRef{v.Name(), what}, ok
 	}
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -124,31 +193,36 @@ func checkUses(pass *analysis.Pass, file *ast.File, borrowed map[*types.Var]stri
 			for i, lhs := range n.Lhs {
 				// Mutation: view[i] = x writes the authority's buffer.
 				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-					if v, what, ok := isBorrowed(ix.X); ok {
-						pass.Reportf(ix.Pos(), "write into borrowed %s buffer %s: the view is immutable; use a copying accessor", what, v.Name())
+					if b, ok := isBorrowed(ix.X); ok {
+						pass.Reportf(ix.Pos(), "write into borrowed %s buffer %s: the view is immutable; use a copying accessor", b.what, b.name)
 					}
 				}
 				// Escape: field/global/element stores outlive the borrow.
 				if i < len(n.Rhs) && len(n.Lhs) == len(n.Rhs) {
-					if v, what, ok := isBorrowed(n.Rhs[i]); ok {
+					if b, ok := isBorrowed(n.Rhs[i]); ok {
 						switch tgt := ast.Unparen(lhs).(type) {
 						case *ast.SelectorExpr:
-							pass.Reportf(n.Rhs[i].Pos(), "borrowed %s buffer %s stored in a struct field: it must not outlive the lending scope; copy it first", what, v.Name())
+							pass.Reportf(n.Rhs[i].Pos(), "borrowed %s buffer %s stored in a struct field: it must not outlive the lending scope; copy it first", b.what, b.name)
 						case *ast.IndexExpr:
-							pass.Reportf(n.Rhs[i].Pos(), "borrowed %s buffer %s stored in a map or slice element: it must not outlive the lending scope; copy it first", what, v.Name())
+							pass.Reportf(n.Rhs[i].Pos(), "borrowed %s buffer %s stored in a map or slice element: it must not outlive the lending scope; copy it first", b.what, b.name)
 						case *ast.Ident:
 							if obj, ok := pass.TypesInfo.Uses[tgt].(*types.Var); ok && obj.Parent() == pass.Pkg.Scope() {
-								pass.Reportf(n.Rhs[i].Pos(), "borrowed %s buffer %s stored in package-level variable %s: it must not outlive the lending scope; copy it first", what, v.Name(), tgt.Name)
+								pass.Reportf(n.Rhs[i].Pos(), "borrowed %s buffer %s stored in package-level variable %s: it must not outlive the lending scope; copy it first", b.what, b.name, tgt.Name)
 							}
 						}
 					}
 				}
 			}
 		case *ast.SendStmt:
-			if v, what, ok := isBorrowed(n.Value); ok {
-				pass.Reportf(n.Value.Pos(), "borrowed %s buffer %s sent on a channel: the receiver outlives the borrow; copy it first", what, v.Name())
+			if b, ok := isBorrowed(n.Value); ok {
+				pass.Reportf(n.Value.Pos(), "borrowed %s buffer %s sent on a channel: the receiver outlives the borrow; copy it first", b.what, b.name)
 			}
 		case *ast.CallExpr:
+			if lintutil.IsPkgFunc(lintutil.Callee(pass.TypesInfo, n), protoPkg, "PutMsg") && len(n.Args) == 1 {
+				if b, ok := isBorrowed(n.Args[0]); ok && b.what == lentMsg {
+					pass.Reportf(n.Args[0].Pos(), "PutMsg on the %s %s: the client owns it and reuses it for the next frame", b.what, b.name)
+				}
+			}
 			fn, _ := ast.Unparen(n.Fun).(*ast.Ident)
 			if fn == nil || len(n.Args) == 0 {
 				return true
@@ -158,12 +232,12 @@ func checkUses(pass *analysis.Pass, file *ast.File, borrowed map[*types.Var]stri
 			}
 			switch fn.Name {
 			case "copy":
-				if v, what, ok := isBorrowed(n.Args[0]); ok {
-					pass.Reportf(n.Args[0].Pos(), "copy into borrowed %s buffer %s: the view is immutable; use a copying accessor", what, v.Name())
+				if b, ok := isBorrowed(n.Args[0]); ok {
+					pass.Reportf(n.Args[0].Pos(), "copy into borrowed %s buffer %s: the view is immutable; use a copying accessor", b.what, b.name)
 				}
 			case "append":
-				if v, what, ok := isBorrowed(n.Args[0]); ok {
-					pass.Reportf(n.Args[0].Pos(), "append to borrowed %s buffer %s may write its backing array: build a fresh slice instead", what, v.Name())
+				if b, ok := isBorrowed(n.Args[0]); ok {
+					pass.Reportf(n.Args[0].Pos(), "append to borrowed %s buffer %s may write its backing array: build a fresh slice instead", b.what, b.name)
 				}
 			}
 		}
