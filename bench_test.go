@@ -275,26 +275,17 @@ func hammer(b *testing.B, workers int, get func(key string) error) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
-// BenchmarkLiveThroughput is the transport shoot-out of the pipelining
-// work: 64 concurrent workers share one client against one live store
-// node. "pipelined" is the multiplexed seq-demux transport; "pooled" is
-// the seed-style checkout/blocking-round-trip client it replaced.
+// BenchmarkLiveThroughput has 64 concurrent workers share one client
+// (one multiplexed connection) against one live store node.
 func BenchmarkLiveThroughput(b *testing.B) {
 	const workers = 64
-	for _, mode := range []struct {
-		name   string
-		pooled bool
-	}{{"pipelined", false}, {"pooled", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			addr := startBenchStore(b, "bench", 64)
-			c := freshcache.NewClient(addr, freshcache.ClientOptions{Pooled: mode.pooled})
-			defer c.Close()
-			hammer(b, workers, func(key string) error {
-				_, _, err := c.Get(key)
-				return err
-			})
-		})
-	}
+	addr := startBenchStore(b, "bench", 64)
+	c := freshcache.NewClient(addr, freshcache.ClientOptions{})
+	defer c.Close()
+	hammer(b, workers, func(key string) error {
+		_, _, err := c.Get(key)
+		return err
+	})
 }
 
 // BenchmarkLiveThroughputSharded is the cluster variant: 64 workers
@@ -302,32 +293,25 @@ func BenchmarkLiveThroughput(b *testing.B) {
 // across the ring on every call.
 func BenchmarkLiveThroughputSharded(b *testing.B) {
 	const workers = 64
-	for _, mode := range []struct {
-		name   string
-		pooled bool
-	}{{"pipelined", false}, {"pooled", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			addrs := []string{
-				startBenchStore(b, "shard-0", 0),
-				startBenchStore(b, "shard-1", 0),
-			}
-			sc, err := freshcache.NewShardedClient(addrs, 0, freshcache.ClientOptions{Pooled: mode.pooled})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sc.Close()
-			val := make([]byte, 128)
-			for i := 0; i < 64; i++ {
-				if _, err := sc.Put(fmt.Sprintf("key-%04d", i), val); err != nil {
-					b.Fatal(err)
-				}
-			}
-			hammer(b, workers, func(key string) error {
-				_, _, err := sc.Get(key)
-				return err
-			})
-		})
+	addrs := []string{
+		startBenchStore(b, "shard-0", 0),
+		startBenchStore(b, "shard-1", 0),
 	}
+	sc, err := freshcache.NewShardedClient(addrs, 0, freshcache.ClientOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sc.Close()
+	val := make([]byte, 128)
+	for i := 0; i < 64; i++ {
+		if _, err := sc.Put(fmt.Sprintf("key-%04d", i), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hammer(b, workers, func(key string) error {
+		_, _, err := sc.Get(key)
+		return err
+	})
 }
 
 // BenchmarkAnalyticalModel measures the closed-form evaluation itself.

@@ -24,8 +24,8 @@ type failoverBucket struct {
 	Violations int     `json:"violations"` // reads staler than the crash bound
 }
 
-// failoverReport is the machine-readable record of a kill-a-store run,
-// alongside BENCH_pipeline.json and BENCH_reshard.json.
+// failoverReport is the machine-readable record of a kill-a-store run
+// (BENCH_failover.json), alongside BENCH_reshard.json.
 type failoverReport struct {
 	Benchmark    string           `json:"benchmark"`
 	Generated    string           `json:"generated"`

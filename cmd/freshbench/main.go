@@ -1,5 +1,8 @@
 // Command freshbench regenerates the paper's evaluation: one subcommand
-// per table/figure plus the ablations and a live end-to-end run.
+// per table/figure plus the ablations, a live end-to-end run, and the
+// membership-change scenarios (reshard, failover) under load. Throughput
+// and latency claims are not made here: bench/run.sh (BENCHMARK.json)
+// measures the read and write-to-visible path.
 //
 // Usage:
 //
@@ -15,13 +18,6 @@
 //	sec31    the §3.1 worked example
 //	ablate   batching-interval, decision-rule and cache-knowledge ablations
 //	live     boot a real store+cache cluster and validate bounded staleness
-//	pipeline measure the pipelined vs pooled transport on a live store
-//	hotpath  measure the zero-allocation hot path on a live store:
-//	         throughput, latency percentiles, and whole-process
-//	         allocs/op, compared against the committed
-//	         BENCH_pipeline.json baseline when present; sweeps the
-//	         batched MGET path at 1, 8 and 32 keys/frame (-batch N
-//	         pins a single point)
 //	reshard  join a third store into a live cluster under load and record
 //	         the throughput/staleness-violation trajectory
 //	failover kill one store of a replicated (R=2) live cluster under load
@@ -30,7 +26,7 @@
 //	         plane, kill its LEADER mid-run (then a store, then restart
 //	         the killed coordinator from disk) and record the whole
 //	         trajectory
-//	all      everything above (except pipeline, reshard and failover)
+//	all      everything above (except reshard and failover)
 //
 // Flags:
 //
@@ -38,9 +34,9 @@
 //	-seed uint          workload seed (default 1)
 //	-t float            staleness bound for fig5/fig6/live (default 0.5)
 //	-stores int         store shards booted by live (default 1)
-//	-workers int        concurrent workers for pipeline/reshard/failover (default 64)
-//	-benchtime duration wall-clock window for pipeline/reshard/failover (default 2s / 4s / 4s)
-//	-json               pipeline/reshard/failover: also write BENCH_<name>.json
+//	-workers int        concurrent workers for reshard/failover (default 64)
+//	-benchtime duration wall-clock window for reshard/failover (default 4s; 6s with -killcoord)
+//	-json               reshard/failover: also write BENCH_<name>.json
 //	-killcoord          failover: kill the coordinator leader (HA control plane)
 package main
 
@@ -70,37 +66,14 @@ func main() {
 	seed := fs.Uint64("seed", 1, "workload seed")
 	tBound := fs.Float64("t", 0.5, "staleness bound (s) for fig5/fig6/live")
 	storesN := fs.Int("stores", 1, "store shards booted by the live experiment")
-	workers := fs.Int("workers", 64, "concurrent workers for the pipeline experiment")
-	benchtime := fs.Duration("benchtime", 0, "wall-clock window for pipeline (default 2s) / reshard (default 4s)")
-	jsonOut := fs.Bool("json", false, "pipeline/hotpath: also write BENCH_<name>.json")
-	batch := fs.Int("batch", 0, "hotpath: keys per MGET frame (0 = sweep 1,8,32)")
+	workers := fs.Int("workers", 64, "concurrent workers for reshard/failover")
+	benchtime := fs.Duration("benchtime", 0, "wall-clock window for reshard/failover (default 4s; 6s with -killcoord)")
+	jsonOut := fs.Bool("json", false, "reshard/failover: also write BENCH_<name>.json")
 	killcoord := fs.Bool("killcoord", false, "failover: kill the coordinator LEADER of a 3-coordinator control plane instead of a store only")
 	fs.Parse(os.Args[2:]) //nolint:errcheck // ExitOnError
 
 	o := experiments.Options{Duration: *duration, Seed: *seed, T: *tBound}
 	live := func(o experiments.Options) error { return liveCluster(o, *storesN) }
-	pipeline := func(experiments.Options) error {
-		out := ""
-		if *jsonOut {
-			out = "BENCH_pipeline.json"
-		}
-		bt := *benchtime
-		if bt == 0 {
-			bt = 2 * time.Second
-		}
-		return pipelineBench(*workers, bt, out)
-	}
-	hotpath := func(experiments.Options) error {
-		out := ""
-		if *jsonOut {
-			out = "BENCH_hotpath.json"
-		}
-		bt := *benchtime
-		if bt == 0 {
-			bt = 2 * time.Second
-		}
-		return hotpathBench(*workers, bt, out, *batch)
-	}
 	reshard := func(o experiments.Options) error {
 		out := ""
 		if *jsonOut {
@@ -161,10 +134,6 @@ func main() {
 		run("Ablations", ablate)
 	case "live":
 		run("Live cluster validation", live)
-	case "pipeline":
-		run("Pipelined vs pooled transport", pipeline)
-	case "hotpath":
-		run("Zero-allocation hot path", hotpath)
 	case "reshard":
 		run("Live resharding under load", reshard)
 	case "failover":
@@ -191,7 +160,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: freshbench <fig2|fig3|fig5|fig6|table1|sec31|ablate|live|pipeline|hotpath|reshard|failover|probe|all> [flags]
+	fmt.Fprintln(os.Stderr, `usage: freshbench <fig2|fig3|fig5|fig6|table1|sec31|ablate|live|reshard|failover|probe|all> [flags]
 run "freshbench <experiment> -h" for flags`)
 }
 

@@ -25,7 +25,7 @@ type reshardBucket struct {
 }
 
 // reshardReport is the machine-readable record of a live resharding
-// run, in the same spirit as BENCH_pipeline.json.
+// run (BENCH_reshard.json).
 type reshardReport struct {
 	Benchmark     string          `json:"benchmark"`
 	Generated     string          `json:"generated"`

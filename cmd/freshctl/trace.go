@@ -56,10 +56,15 @@ func traceCmd(c *freshcache.Client, args []string) error {
 func newTraceID() uint64 {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		return uint64(time.Now().UnixNano())
+		binary.BigEndian.PutUint64(b[:], uint64(time.Now().UnixNano()))
 	}
-	return binary.BigEndian.Uint64(b[:])
+	return traceIDFrom(b)
 }
+
+// traceIDFrom turns eight random bytes into a trace ID with the low bit
+// set: the client reads ID 0 as "untraced", so a zero draw would
+// silently send an untraced request.
+func traceIDFrom(b [8]byte) uint64 { return binary.BigEndian.Uint64(b[:]) | 1 }
 
 // printTrace renders the hop tree. Each hop's duration includes
 // everything downstream of it, so a span's depth is the number of spans

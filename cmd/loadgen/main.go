@@ -13,10 +13,8 @@
 // shard owning each key via the consistent-hash ring — the same routing
 // the caches and the LB use — while reads keep exercising -addr.
 //
-// Workers share the client's multiplexed pipelined transport by default;
-// -pooled selects the seed-style one-request-per-connection transport
-// for before/after comparison, and -conns overrides the connection count
-// of either.
+// Workers share the client's multiplexed pipelined connections; -conns
+// overrides how many there are.
 //
 // The staleness check: every write's value encodes its wall-clock issue
 // time; a read that returns a value older than the latest write known to
@@ -46,9 +44,8 @@ func main() {
 	duration := flag.Duration("duration", 10*time.Second, "wall-clock run length")
 	rate := flag.Float64("rate", 2000, "target requests/second")
 	tBound := flag.Duration("t", 500*time.Millisecond, "staleness bound to validate against")
-	conns := flag.Int("conns", 0, "client connections (0: transport default)")
+	conns := flag.Int("conns", 0, "client connections (0: client default)")
 	workers := flag.Int("workers", 8, "concurrent load workers")
-	pooled := flag.Bool("pooled", false, "use the seed-style pooled transport instead of the pipelined one")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	flag.Parse()
 
@@ -56,7 +53,7 @@ func main() {
 	if *stores != "" {
 		storeAddrs = strings.Split(*stores, ",")
 	}
-	opts := freshcache.ClientOptions{MaxConns: *conns, Pooled: *pooled}
+	opts := freshcache.ClientOptions{MaxConns: *conns}
 	if err := run(*addr, storeAddrs, *wl, *duration, *rate, *tBound, *workers, opts, *seed); err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		os.Exit(1)

@@ -268,11 +268,10 @@ type LoadBalancer = lb.Server
 // NewLoadBalancer builds a load balancer.
 func NewLoadBalancer(cfg LBConfig) (*LoadBalancer, error) { return lb.New(cfg) }
 
-// ClientOptions configures a Client; Client is the protocol client. By
-// default it speaks the multiplexed pipelined transport (concurrent
-// requests share connections, responses demux by sequence number);
-// ClientOptions{Pooled: true} selects the legacy one-request-per-
-// connection pool.
+// ClientOptions configures a Client; Client is the protocol client. It
+// speaks one multiplexed pipelined transport: concurrent requests share
+// ClientOptions.MaxConns connections and responses demux by sequence
+// number.
 type (
 	ClientOptions = client.Options
 	Client        = client.Client

@@ -122,19 +122,11 @@ func (s *Server) fillBatch(missKeys []string, tr *proto.SpanRec) []fillResult {
 
 	if len(leadKeys) > 0 {
 		fillStart := time.Now()
-		var res []client.MGetResult
-		if tr != nil {
-			var fts []*proto.Trace
-			res, fts = s.stores.MFillTraced(leadKeys, tr.ID())
-			for _, ft := range fts {
-				if ft != nil {
-					// One sibling hop per contacted store shard: the
-					// client's hop tree shows the batch fan-out.
-					tr.Add(ft)
-				}
-			}
-		} else {
-			res = s.stores.MFill(leadKeys)
+		res, fts := s.stores.MFillTraced(leadKeys, tr.ID())
+		for _, ft := range fts {
+			// One sibling hop per contacted store shard: the client's
+			// hop tree shows the batch fan-out.
+			tr.Add(ft)
 		}
 		s.fillRTT.Observe(float64(time.Since(fillStart)))
 		for j, f := range leadFlights {
@@ -186,17 +178,9 @@ func mputArgs(m *proto.Msg) (keys []string, vals [][]byte, err error) {
 // assigned versions.
 func (s *Server) mputResp(seq uint64, keys []string, vals [][]byte, tr *proto.SpanRec) *proto.Msg {
 	s.c.Puts.Add(uint64(len(keys)))
-	var results []client.MPutResult
-	if tr != nil {
-		var pts []*proto.Trace
-		results, pts = s.stores.MPutTraced(keys, vals, tr.ID())
-		for _, pt := range pts {
-			if pt != nil {
-				tr.Add(pt)
-			}
-		}
-	} else {
-		results = s.stores.MPut(keys, vals)
+	results, pts := s.stores.MPutTraced(keys, vals, tr.ID())
+	for _, pt := range pts {
+		tr.Add(pt)
 	}
 	resp := proto.GetMsg()
 	resp.Type, resp.Seq = proto.MsgMPutResp, seq

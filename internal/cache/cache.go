@@ -531,18 +531,8 @@ func (s *Server) fill(key string, tr *proto.SpanRec) ([]byte, uint64, error) {
 	s.fillMu.Unlock()
 
 	fillStart := time.Now()
-	var (
-		value   []byte
-		version uint64
-		err     error
-	)
-	if tr != nil {
-		var ft *proto.Trace
-		value, version, ft, err = s.stores.FillTraced(key, tr.ID())
-		tr.Add(ft)
-	} else {
-		value, version, err = s.stores.Fill(key)
-	}
+	value, version, ft, err := s.stores.FillTraced(key, tr.ID())
+	tr.Add(ft)
 	s.fillRTT.Observe(float64(time.Since(fillStart)))
 	s.settleFill(key, f, value, version, err)
 	return f.value, f.version, f.err
@@ -614,12 +604,9 @@ func (s *Server) Put(key string, value []byte) (uint64, error) {
 
 func (s *Server) put(key string, value []byte, tr *proto.SpanRec) (uint64, error) {
 	s.c.Puts.Inc()
-	if tr != nil {
-		version, pt, err := s.stores.PutTraced(key, value, tr.ID())
-		tr.Add(pt)
-		return version, err
-	}
-	return s.stores.Put(key, value)
+	version, pt, err := s.stores.PutTraced(key, value, tr.ID())
+	tr.Add(pt)
+	return version, err
 }
 
 // readStripes is the number of independently locked read-count tables —

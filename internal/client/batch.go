@@ -1,10 +1,7 @@
 package client
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"freshcache/internal/proto"
 )
@@ -43,11 +40,6 @@ func (c *Client) MGet(keys []string) ([]MGetResult, error) {
 func (c *Client) MFill(keys []string) ([]MGetResult, error) {
 	res, _, err := c.mget(proto.MsgMFill, keys, 0)
 	return res, err
-}
-
-// MFillTraced is MFill with wire-level tracing.
-func (c *Client) MFillTraced(keys []string, traceID uint64) ([]MGetResult, *proto.Trace, error) {
-	return c.mget(proto.MsgMFill, keys, traceID)
 }
 
 // MGetTraced is MGet with wire-level tracing.
@@ -154,94 +146,4 @@ func (c *Client) mput(keys []string, values [][]byte, traceID uint64) ([]MPutRes
 		out[i] = MPutResult{Version: op.Version}
 	}
 	return out, tr, nil
-}
-
-// coalescer merges single-key Gets issued within one window into one
-// wire MGET (Options.CoalesceWindow). The first Get of a window arms a
-// flush timer; the gathered batch goes out when the timer fires or
-// maxBatch keys have joined, whichever is first.
-type coalescer struct {
-	c        *Client
-	window   time.Duration
-	maxBatch int
-
-	mu      sync.Mutex
-	pending []coalesceWaiter
-}
-
-type coalesceWaiter struct {
-	key string
-	ch  chan coalesceResult
-}
-
-type coalesceResult struct {
-	value   []byte
-	version uint64
-	found   bool
-	err     error
-}
-
-func (co *coalescer) get(key string) ([]byte, uint64, error) {
-	w := coalesceWaiter{key: key, ch: make(chan coalesceResult, 1)}
-	co.mu.Lock()
-	co.pending = append(co.pending, w)
-	if len(co.pending) >= co.maxBatch {
-		batch := co.pending
-		co.pending = nil
-		co.mu.Unlock()
-		// The caller that fills the batch flushes it inline: it is about
-		// to block on its own slot anyway, and this keeps a full-rate
-		// workload from ever waiting out the window.
-		co.flush(batch)
-	} else {
-		if len(co.pending) == 1 {
-			time.AfterFunc(co.window, co.timerFlush)
-		}
-		co.mu.Unlock()
-	}
-	res := <-w.ch
-	if res.err != nil {
-		return nil, 0, res.err
-	}
-	if !res.found {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	return res.value, res.version, nil
-}
-
-func (co *coalescer) timerFlush() {
-	co.mu.Lock()
-	batch := co.pending
-	co.pending = nil
-	co.mu.Unlock()
-	if len(batch) > 0 {
-		co.flush(batch)
-	}
-}
-
-func (co *coalescer) flush(batch []coalesceWaiter) {
-	if len(batch) == 1 {
-		// A lone waiter gains nothing from the batch framing; issue the
-		// plain single-key GET.
-		v, ver, err := co.c.singleGet(batch[0].key)
-		res := coalesceResult{value: v, version: ver, found: err == nil}
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			res.err = err
-		}
-		batch[0].ch <- res
-		return
-	}
-	keys := make([]string, len(batch))
-	for i, w := range batch {
-		keys[i] = w.key
-	}
-	results, err := co.c.MGet(keys)
-	for i, w := range batch {
-		if err != nil {
-			w.ch <- coalesceResult{err: err}
-			continue
-		}
-		r := results[i]
-		w.ch <- coalesceResult{value: r.Value, version: r.Version, found: r.Found, err: r.Err}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,60 +12,53 @@ import (
 	"freshcache/internal/proto"
 )
 
-// MGet/MPut round-trip over both transports, per-key results in request
-// order, missing keys as clean not-founds.
+// MGet/MPut round-trip, per-key results in request order, missing keys
+// as clean not-founds.
 func TestBatchVerbs(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		pooled bool
-	}{{"mux", false}, {"pooled", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			addr, _ := echoServer(t)
-			c := New(addr, Options{Pooled: mode.pooled})
-			defer c.Close()
+	addr, _ := echoServer(t)
+	c := New(addr, Options{})
+	defer c.Close()
 
-			keys := []string{"b1", "b2", "b3"}
-			vals := [][]byte{[]byte("v1"), []byte("v2"), []byte("v3")}
-			wres, err := c.MPut(keys, vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range wres {
-				if r.Err != nil || r.Version != 1 {
-					t.Errorf("MPut[%d] = %+v", i, r)
-				}
-			}
+	keys := []string{"b1", "b2", "b3"}
+	vals := [][]byte{[]byte("v1"), []byte("v2"), []byte("v3")}
+	wres, err := c.MPut(keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range wres {
+		if r.Err != nil || r.Version != 1 {
+			t.Errorf("MPut[%d] = %+v", i, r)
+		}
+	}
 
-			rkeys := []string{"b2", "absent", "b1", "b2"} // dup in one batch
-			rres, err := c.MGet(rkeys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rres) != len(rkeys) {
-				t.Fatalf("MGet returned %d results", len(rres))
-			}
-			want := []struct {
-				found bool
-				val   string
-			}{{true, "v2"}, {false, ""}, {true, "v1"}, {true, "v2"}}
-			for i, w := range want {
-				r := rres[i]
-				if r.Err != nil || r.Found != w.found || (w.found && string(r.Value) != w.val) {
-					t.Errorf("MGet[%d] = %+v, want found=%v %q", i, r, w.found, w.val)
-				}
-			}
+	rkeys := []string{"b2", "absent", "b1", "b2"} // dup in one batch
+	rres, err := c.MGet(rkeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rres) != len(rkeys) {
+		t.Fatalf("MGet returned %d results", len(rres))
+	}
+	want := []struct {
+		found bool
+		val   string
+	}{{true, "v2"}, {false, ""}, {true, "v1"}, {true, "v2"}}
+	for i, w := range want {
+		r := rres[i]
+		if r.Err != nil || r.Found != w.found || (w.found && string(r.Value) != w.val) {
+			t.Errorf("MGet[%d] = %+v, want found=%v %q", i, r, w.found, w.val)
+		}
+	}
 
-			// Zero-key batches are no-ops, not wire traffic.
-			if res, err := c.MGet(nil); err != nil || len(res) != 0 {
-				t.Errorf("empty MGet = %v, %v", res, err)
-			}
-			if res, err := c.MPut(nil, nil); err != nil || len(res) != 0 {
-				t.Errorf("empty MPut = %v, %v", res, err)
-			}
-			if _, err := c.MPut([]string{"k"}, nil); err == nil {
-				t.Error("mismatched keys/values not rejected")
-			}
-		})
+	// Zero-key batches are no-ops, not wire traffic.
+	if res, err := c.MGet(nil); err != nil || len(res) != 0 {
+		t.Errorf("empty MGet = %v, %v", res, err)
+	}
+	if res, err := c.MPut(nil, nil); err != nil || len(res) != 0 {
+		t.Errorf("empty MPut = %v, %v", res, err)
+	}
+	if _, err := c.MPut([]string{"k"}, nil); err == nil {
+		t.Error("mismatched keys/values not rejected")
 	}
 }
 
@@ -140,53 +132,6 @@ func protoServer(t *testing.T, handle func(*proto.Msg) *proto.Msg) string {
 		}
 	}()
 	return ln.Addr().String()
-}
-
-// The opt-in coalescer merges concurrent single-key Gets into wire
-// MGETs without changing any Get's observable result.
-func TestCoalescerMergesConcurrentGets(t *testing.T) {
-	addr, requests := echoServer(t)
-	seedC := New(addr, Options{})
-	for i := 0; i < 8; i++ {
-		if _, err := seedC.Put(fmt.Sprintf("co-%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seedC.Close()
-
-	c := New(addr, Options{CoalesceWindow: 50 * time.Millisecond, CoalesceMaxBatch: 8})
-	defer c.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, ver, err := c.Get(fmt.Sprintf("co-%d", i))
-			if err != nil || ver != 1 || string(v) != fmt.Sprintf("v%d", i) {
-				t.Errorf("coalesced Get co-%d = %q v%d err=%v", i, v, ver, err)
-			}
-		}(i)
-	}
-	// A not-found must keep its per-key identity through the merge.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, _, err := c.Get("co-absent"); !errors.Is(err, ErrNotFound) {
-			t.Errorf("coalesced absent key: %v", err)
-		}
-	}()
-	wg.Wait()
-
-	mgets := 0
-	requests.Range(func(_, v any) bool {
-		if v.(proto.MsgType) == proto.MsgMGet {
-			mgets++
-		}
-		return true
-	})
-	if mgets == 0 {
-		t.Error("no wire MGET observed: concurrent Gets were not coalesced")
-	}
 }
 
 // Scatter/gather equivalence: for any batch (duplicates included), a

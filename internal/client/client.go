@@ -2,23 +2,19 @@
 // the proto wire format and offers typed Get/Put/Stats calls plus the
 // cache-internal Fill and ReadReport verbs.
 //
-// Two transports live behind the one Client API:
+// There is one transport (mux.go): a small fixed set of multiplexed,
+// pipelined TCP connections per target, each with a demux reader
+// goroutine that runs each response's Completion by sequence number and
+// a writer goroutine gathering queued frames into single vectored
+// writes. Concurrent calls share connections instead of queueing behind
+// them, and request timeouts are per-request deadlines swept by a
+// janitor, so one slow request does not poison a shared connection.
+// Blocking calls park only the caller's own goroutine; GetAsync parks
+// none — a proxy relays the response from inside the completion.
 //
-//   - The default multiplexed, pipelined transport (mux.go): a small
-//     fixed set of TCP connections per target, each with a demux reader
-//     goroutine that runs each response's Completion by sequence number
-//     and a writer goroutine gathering queued frames into single
-//     vectored writes. Concurrent calls share connections instead of
-//     queueing behind them, and request timeouts are per-request
-//     deadlines swept by a janitor, so one slow request does not poison
-//     a shared connection. Blocking calls park only the caller's own
-//     goroutine; GetAsync parks none — a proxy relays the response from
-//     inside the completion.
-//   - The seed-style pooled transport (pooled.go, Options.Pooled): each
-//     request checks a connection out of a bounded pool, performs one
-//     blocking write+read round trip, and checks it back in. Kept as the
-//     comparison baseline for the transport benchmarks and as a
-//     conservative fallback.
+// Every verb has one body taking a trace ID, where 0 means untraced: no
+// proto.Trace is allocated or sent and the returned trace is nil. The
+// exported Foo/FooTraced pairs are one-line wrappers over it.
 //
 // Blocking calls copy responses out of the framing buffers, so returned
 // values remain valid after the next call. A Completion is instead lent
@@ -49,52 +45,32 @@ var (
 
 // Options configures a Client.
 type Options struct {
-	// MaxConns bounds the connections per target: the pool size of the
-	// pooled transport, or the number of multiplexed connections
-	// concurrent requests are spread over. Defaults to 8 (pooled) and 1
-	// (multiplexed — one busy connection coalesces best: every queued
-	// frame joins the same vectored write and responses stream back
-	// through one warm demux loop).
+	// MaxConns is the number of multiplexed connections per target that
+	// concurrent requests are spread over. Defaults to 1 — one busy
+	// connection coalesces best: every queued frame joins the same
+	// vectored write and responses stream back through one warm demux
+	// loop.
 	MaxConns int
 	// DialTimeout bounds connection establishment; defaults to 5s.
 	DialTimeout time.Duration
 	// RequestTimeout bounds one request/response exchange; defaults to
-	// 10s. On the multiplexed transport this is a per-request deadline
-	// (enforced by a coarse sweep, so it may fire up to ~12% late): a
-	// timed-out request abandons its response without disturbing the
-	// other requests in flight on the same connection.
+	// 10s. It is a per-request deadline (enforced by a coarse sweep, so
+	// it may fire up to ~12% late): a timed-out request abandons its
+	// response without disturbing the other requests in flight on the
+	// same connection.
 	RequestTimeout time.Duration
-	// Pooled selects the legacy checkout/blocking-round-trip transport
-	// instead of the multiplexed pipelined one. One request at a time
-	// occupies each connection, capping concurrency at MaxConns.
-	Pooled bool
 	// MaxAttempts bounds how many connections a request is tried on
 	// after transport failures that provably occurred before the request
-	// reached the wire (a stale pooled connection, an already-broken
-	// multiplexed one). Defaults to 3. A failure after the request may
-	// have been written is never retried — retrying could double-apply.
+	// reached the wire (a connection that broke, or whose send queue
+	// stalled, before the frame was queued). Defaults to 3. A failure
+	// after the request may have been written is never retried —
+	// retrying could double-apply.
 	MaxAttempts int
-	// CoalesceWindow, when positive, enables the adaptive Get coalescer:
-	// single-key Gets issued within one window are merged into one wire
-	// MGET. The first Get in a window arms the flush; the batch goes out
-	// when the window elapses or CoalesceMaxBatch keys have gathered,
-	// whichever is first — so under load the window never adds latency
-	// (batches fill before it expires) and an idle caller pays at most
-	// one window. Off by default: it trades a bounded latency hit for
-	// fewer frames, which only wins on high-fan-in clients.
-	CoalesceWindow time.Duration
-	// CoalesceMaxBatch caps the keys merged into one coalesced MGET;
-	// defaults to 32.
-	CoalesceMaxBatch int
 }
 
 func (o *Options) fill() {
 	if o.MaxConns <= 0 {
-		if o.Pooled {
-			o.MaxConns = 8
-		} else {
-			o.MaxConns = 1
-		}
+		o.MaxConns = 1
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
@@ -105,43 +81,18 @@ func (o *Options) fill() {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
-	if o.CoalesceMaxBatch <= 0 {
-		o.CoalesceMaxBatch = 32
-	}
-}
-
-// transport moves one request/response exchange; implementations assign
-// the request's Seq and copy buffer-aliasing response fields.
-type transport interface {
-	roundTrip(req *proto.Msg) (*proto.Msg, error)
-	// start begins req without blocking the caller if it can, reporting
-	// whether it did; on true done fires exactly once (see Completion)
-	// and req is the caller's again.
-	start(req *proto.Msg, done Completion) bool
-	close() error
 }
 
 // Client is a connection to one freshcache node.
 type Client struct {
 	addr string
-	tr   transport
-	co   *coalescer // non-nil when Options.CoalesceWindow is set
+	tr   *muxTransport
 }
 
 // New builds a client for addr. No connection is made until first use.
 func New(addr string, opts Options) *Client {
 	opts.fill()
-	var tr transport
-	if opts.Pooled {
-		tr = newPooled(addr, opts)
-	} else {
-		tr = newMux(addr, opts)
-	}
-	c := &Client{addr: addr, tr: tr}
-	if opts.CoalesceWindow > 0 {
-		c.co = &coalescer{c: c, window: opts.CoalesceWindow, maxBatch: opts.CoalesceMaxBatch}
-	}
-	return c
+	return &Client{addr: addr, tr: newMux(addr, opts)}
 }
 
 // Addr returns the target address.
@@ -149,10 +100,10 @@ func (c *Client) Addr() string { return c.addr }
 
 // do performs one exchange and unwraps server-level errors. It owns
 // req: callers build requests with proto.GetMsg (or a literal) and do
-// recycles them once the transport is done — both transports encode the
-// request synchronously inside roundTrip, so nothing aliases it after
-// return. The returned response is pooled too; callers must release it
-// via proto.PutMsg after extracting what they need. Everything a caller
+// recycles them once the transport is done — the request is encoded
+// synchronously inside roundTrip, so nothing aliases it after return.
+// The returned response is pooled too; callers must release it via
+// proto.PutMsg after extracting what they need. Everything a caller
 // might retain (Value, Stats, Nodes, ring fields) is freshly allocated
 // per response, so extraction is plain field reads, not copies.
 func (c *Client) do(req *proto.Msg) (*proto.Msg, error) {
@@ -184,37 +135,40 @@ func newReq(t proto.MsgType) *proto.Msg {
 }
 
 // Get fetches key's value and version. It reports ErrNotFound for
-// missing keys. With Options.CoalesceWindow set, concurrent Gets may be
-// merged into one wire MGET.
+// missing keys.
 func (c *Client) Get(key string) ([]byte, uint64, error) {
-	if c.co != nil {
-		return c.co.get(key)
-	}
-	return c.singleGet(key)
+	value, version, _, err := c.get(proto.MsgGet, key, 0)
+	return value, version, err
 }
 
-// singleGet is the raw one-key GET, bypassing the coalescer (which
-// calls it itself for a batch of one).
-func (c *Client) singleGet(key string) ([]byte, uint64, error) {
-	req := newReq(proto.MsgGet)
-	req.Key = key
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	return getResult(resp, key)
+// GetTraced is Get with wire-level tracing: the request carries traceID
+// and the returned Trace holds every hop's span, innermost first. Pass
+// it to a proto.SpanRec via Add when relaying, or render it directly.
+func (c *Client) GetTraced(key string, traceID uint64) ([]byte, uint64, *proto.Trace, error) {
+	return c.get(proto.MsgGet, key, traceID)
 }
 
 // Fill is the cache-internal read used to service a miss: like Get but
 // the store records a cache fill rather than a client read.
 func (c *Client) Fill(key string) ([]byte, uint64, error) {
-	req := newReq(proto.MsgFill)
+	value, version, _, err := c.get(proto.MsgFill, key, 0)
+	return value, version, err
+}
+
+// get is the one body of the single-key reads (t is MsgGet or MsgFill).
+func (c *Client) get(t proto.MsgType, key string, traceID uint64) ([]byte, uint64, *proto.Trace, error) {
+	req := newReq(t)
 	req.Key = key
+	if traceID != 0 {
+		req.Trace = &proto.Trace{ID: traceID}
+	}
 	resp, err := c.do(req)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	return getResult(resp, key)
+	tr := resp.Trace
+	value, version, err := getResult(resp, key)
+	return value, version, tr, err
 }
 
 // GetAsync starts a GET for key and returns without waiting for the
@@ -224,7 +178,7 @@ func (c *Client) Fill(key string) ([]byte, uint64, error) {
 // nothing is spawned and done runs on that connection's reader; when the
 // target must first be (re)dialed, the ordinary blocking exchange runs
 // on a goroutine of its own and lends its response the same way, so the
-// caller never waits out a dial. The coalescer does not apply.
+// caller never waits out a dial.
 func (c *Client) GetAsync(key string, trace *proto.Trace, done Completion) {
 	req := newReq(proto.MsgGet)
 	req.Key, req.Trace = key, trace
@@ -266,36 +220,23 @@ func DecodeGet(resp *proto.Msg, key string) ([]byte, uint64, error) {
 	}
 }
 
-// GetTraced is Get with wire-level tracing: the request carries traceID
-// and the returned Trace holds every hop's span, innermost first. Pass
-// it to a proto.SpanRec via Add when relaying, or render it directly.
-func (c *Client) GetTraced(key string, traceID uint64) ([]byte, uint64, *proto.Trace, error) {
-	return c.getTraced(proto.MsgGet, key, traceID)
-}
-
-// FillTraced is Fill with wire-level tracing.
-func (c *Client) FillTraced(key string, traceID uint64) ([]byte, uint64, *proto.Trace, error) {
-	return c.getTraced(proto.MsgFill, key, traceID)
-}
-
-func (c *Client) getTraced(t proto.MsgType, key string, traceID uint64) ([]byte, uint64, *proto.Trace, error) {
-	req := newReq(t)
-	req.Key = key
-	req.Trace = &proto.Trace{ID: traceID}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	tr := resp.Trace
-	value, version, err := getResult(resp, key)
-	return value, version, tr, err
+// Put writes value under key and returns the assigned version.
+func (c *Client) Put(key string, value []byte) (uint64, error) {
+	version, _, err := c.put(key, value, 0)
+	return version, err
 }
 
 // PutTraced is Put with wire-level tracing.
 func (c *Client) PutTraced(key string, value []byte, traceID uint64) (uint64, *proto.Trace, error) {
+	return c.put(key, value, traceID)
+}
+
+func (c *Client) put(key string, value []byte, traceID uint64) (uint64, *proto.Trace, error) {
 	req := newReq(proto.MsgPut)
 	req.Key, req.Value = key, value
-	req.Trace = &proto.Trace{ID: traceID}
+	if traceID != 0 {
+		req.Trace = &proto.Trace{ID: traceID}
+	}
 	resp, err := c.do(req)
 	if err != nil {
 		return 0, nil, err
@@ -305,21 +246,6 @@ func (c *Client) PutTraced(key string, value []byte, traceID uint64) (uint64, *p
 		return 0, nil, fmt.Errorf("client: PUT %q failed: %v/%v", key, resp.Type, resp.Status)
 	}
 	return resp.Version, resp.Trace, nil
-}
-
-// Put writes value under key and returns the assigned version.
-func (c *Client) Put(key string, value []byte) (uint64, error) {
-	req := newReq(proto.MsgPut)
-	req.Key, req.Value = key, value
-	resp, err := c.do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer proto.PutMsg(resp)
-	if resp.Type != proto.MsgPutResp || resp.Status != proto.StatusOK {
-		return 0, fmt.Errorf("client: PUT %q failed: %v/%v", key, resp.Type, resp.Status)
-	}
-	return resp.Version, nil
 }
 
 // expectPong consumes (and releases) resp, checking for a MsgPong reply
@@ -369,7 +295,7 @@ func (c *Client) Stats() (map[string]uint64, error) {
 	return resp.Stats, nil
 }
 
-// Close tears down the transport's connections; in-flight requests fail.
+// Close tears down the client's connections; in-flight requests fail.
 func (c *Client) Close() error { return c.tr.close() }
 
 // ---- Cluster control-plane calls (coordinator and store admin) ----

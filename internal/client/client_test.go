@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,44 +99,37 @@ func echoServer(t *testing.T) (addr string, requests *sync.Map) {
 }
 
 func TestBasicVerbs(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		pooled bool
-	}{{"mux", false}, {"pooled", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			addr, _ := echoServer(t)
-			c := New(addr, Options{Pooled: mode.pooled})
-			defer c.Close()
+	addr, _ := echoServer(t)
+	c := New(addr, Options{})
+	defer c.Close()
 
-			if _, err := c.Put("k", []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			v, ver, err := c.Get("k")
-			if err != nil || string(v) != "v" || ver != 1 {
-				t.Fatalf("Get = %q v%d err=%v", v, ver, err)
-			}
-			if _, _, err := c.Get("absent"); !errors.Is(err, ErrNotFound) {
-				t.Errorf("absent: %v", err)
-			}
-			if _, _, err := c.Fill("k"); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Ping(); err != nil {
-				t.Fatal(err)
-			}
-			if st, err := c.Stats(); err != nil || st["x"] != 1 {
-				t.Fatalf("Stats = %v err=%v", st, err)
-			}
-			if err := c.ReadReport([]proto.ReadReport{{Key: "k", Count: 2}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.ReadReport(nil); err != nil {
-				t.Errorf("empty report should be a no-op, got %v", err)
-			}
-			if c.Addr() != addr {
-				t.Errorf("Addr = %q", c.Addr())
-			}
-		})
+	if _, err := c.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	v, ver, err := c.Get("k")
+	if err != nil || string(v) != "v" || ver != 1 {
+		t.Fatalf("Get = %q v%d err=%v", v, ver, err)
+	}
+	if _, _, err := c.Get("absent"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("absent: %v", err)
+	}
+	if _, _, err := c.Fill("k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Stats(); err != nil || st["x"] != 1 {
+		t.Fatalf("Stats = %v err=%v", st, err)
+	}
+	if err := c.ReadReport([]proto.ReadReport{{Key: "k", Count: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadReport(nil); err != nil {
+		t.Errorf("empty report should be a no-op, got %v", err)
+	}
+	if c.Addr() != addr {
+		t.Errorf("Addr = %q", c.Addr())
 	}
 }
 
@@ -151,108 +143,13 @@ func TestValueCopiedOutOfFramingBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same pooled conn reads "b" next; va must be unaffected.
+	// The same connection reads "b" next; va must be unaffected.
 	if _, _, err := c.Get("b"); err != nil {
 		t.Fatal(err)
 	}
 	if string(va) != "aaaaaaaa" {
 		t.Errorf("value aliased framing buffer: %q", va)
 	}
-}
-
-func TestPoolBoundsConnections(t *testing.T) {
-	addr, _ := echoServer(t)
-	c := New(addr, Options{Pooled: true, MaxConns: 2})
-	defer c.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if err := c.Ping(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	p := c.tr.(*pooledTransport)
-	p.mu.Lock()
-	total := p.total
-	p.mu.Unlock()
-	if total > 2 {
-		t.Errorf("pool grew to %d conns", total)
-	}
-}
-
-func TestStalePooledConnRetried(t *testing.T) {
-	addr, _ := echoServer(t)
-	c := New(addr, Options{Pooled: true, MaxConns: 4})
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	// Forcefully break all pooled conns from the client side.
-	p := c.tr.(*pooledTransport)
-	p.mu.Lock()
-	for _, pc := range p.free {
-		pc.c.Close()
-	}
-	p.mu.Unlock()
-	// A subsequent call must transparently re-dial.
-	if err := c.Ping(); err != nil {
-		t.Fatalf("stale conn not retried: %v", err)
-	}
-}
-
-// TestPooledRetryBounded fills the pool with stale connections and
-// verifies the retry loop gives up after MaxAttempts instead of spinning
-// through the pool forever, surfacing the last transport error.
-func TestPooledRetryBounded(t *testing.T) {
-	addr, _ := echoServer(t)
-	c := New(addr, Options{Pooled: true, MaxConns: 8, MaxAttempts: 2})
-	defer c.Close()
-	// Park 8 connections in the free list.
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.Ping(); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	p := c.tr.(*pooledTransport)
-	p.mu.Lock()
-	stale := len(p.free)
-	for _, pc := range p.free {
-		pc.c.Close()
-	}
-	p.mu.Unlock()
-	if stale < 3 {
-		t.Skipf("only %d conns pooled; cannot exercise the retry cap", stale)
-	}
-	err := c.Ping()
-	if err == nil {
-		// Both attempts happened to land on... impossible: every pooled
-		// conn is broken and MaxAttempts < stale, so a success means the
-		// loop dialed fresh — which only happens once the pool empties.
-		t.Fatalf("ping succeeded with %d stale conns and MaxAttempts=2", stale)
-	}
-	if !strings.Contains(err.Error(), "after 2 attempts") {
-		t.Errorf("error does not surface the attempt cap: %v", err)
-	}
-	// The client recovers once the stale conns cycle out.
-	for i := 0; i < 8; i++ {
-		if err := c.Ping(); err == nil {
-			return
-		}
-	}
-	t.Error("client never recovered after stale pool drained")
 }
 
 func TestClosedClient(t *testing.T) {

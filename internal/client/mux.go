@@ -12,7 +12,7 @@ import (
 	"freshcache/internal/proto"
 )
 
-// muxTransport is the default transport: a small fixed set of
+// muxTransport is the client's transport: a small fixed set of
 // multiplexed connections, each shared by every concurrent request
 // routed to it. Requests are encoded in the caller's goroutine into
 // pooled frames, queued to the connection's writer (which coalesces
@@ -61,6 +61,9 @@ func newMux(addr string, opts Options) *muxTransport {
 	return &muxTransport{addr: addr, opts: opts, slots: make([]muxSlot, opts.MaxConns)}
 }
 
+// roundTrip assigns req's Seq and performs one blocking exchange,
+// retrying on another connection only while the request provably never
+// left this client. The caller owns the response (proto.PutMsg).
 func (t *muxTransport) roundTrip(req *proto.Msg) (*proto.Msg, error) {
 	req.Seq = t.seq.Add(1)
 	var lastErr error

@@ -27,6 +27,9 @@ type muxTestServer struct {
 	// dropAfter, when > 0, closes each connection after that many
 	// requests have been read from it.
 	dropAfter int
+
+	mu    sync.Mutex
+	conns []net.Conn // every accepted connection, for closeConns
 }
 
 func startMuxTestServer(t *testing.T, handle func(m *proto.Msg) *proto.Msg, dropAfter int) *muxTestServer {
@@ -44,6 +47,9 @@ func startMuxTestServer(t *testing.T, handle func(m *proto.Msg) *proto.Msg, drop
 				return
 			}
 			s.accepted.Add(1)
+			s.mu.Lock()
+			s.conns = append(s.conns, conn)
+			s.mu.Unlock()
 			go s.serve(conn)
 		}
 	}()
@@ -90,6 +96,15 @@ func (s *muxTestServer) serve(conn net.Conn) {
 }
 
 func (s *muxTestServer) addr() string { return s.ln.Addr().String() }
+
+// closeConns severs every connection accepted so far, server side.
+func (s *muxTestServer) closeConns() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.conns {
+		c.Close()
+	}
+}
 
 // echoHandler answers GETs with the key echoed back as the value.
 func echoHandler(m *proto.Msg) *proto.Msg {
@@ -319,9 +334,8 @@ func TestMuxCloseFailsInFlight(t *testing.T) {
 	}
 }
 
-// TestMuxValueDoesNotAliasFramingBuffer is the mux twin of the pooled
-// aliasing test: a returned value must survive subsequent traffic on the
-// same connection.
+// TestMuxValueDoesNotAliasFramingBuffer: a returned value must survive
+// subsequent traffic on the same connection.
 func TestMuxValueDoesNotAliasFramingBuffer(t *testing.T) {
 	s := startMuxTestServer(t, echoHandler, 0)
 	c := New(s.addr(), Options{MaxConns: 1})
@@ -338,6 +352,92 @@ func TestMuxValueDoesNotAliasFramingBuffer(t *testing.T) {
 	if string(va) != "aaaaaaaa" {
 		t.Errorf("value aliased the framing buffer: %q", va)
 	}
+}
+
+// TestMuxStaleConnRedialed: once the server has closed the client's
+// connection, the next request goes out on a fresh one instead of
+// failing on the dead socket.
+func TestMuxStaleConnRedialed(t *testing.T) {
+	s := startMuxTestServer(t, echoHandler, 0)
+	c := New(s.addr(), Options{MaxConns: 1})
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	s.closeConns()
+	// Until the demux reader has seen the close, a request would still be
+	// written to the dead socket — and a request that may have reached the
+	// wire is never retried.
+	for deadline := time.Now().Add(5 * time.Second); c.tr.slots[0].live() != nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("client never noticed the server-side close")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("request after a server-side close was not re-dialed: %v", err)
+	}
+	if n := s.accepted.Load(); n != 2 {
+		t.Errorf("%d connections accepted, want 2 (the original and the re-dial)", n)
+	}
+}
+
+// halfFail puts mc in the state muxConn.fail leaves it in between
+// recording the error and closing done: slot.get still hands the
+// connection out, and start refuses every request before it is queued —
+// the "provably never left this client" failure the retry loop exists
+// for. The returned func completes the failure.
+func halfFail(mc *muxConn) (finish func()) {
+	mc.mu.Lock()
+	mc.err = errors.New("test: connection breaking")
+	mc.mu.Unlock()
+	return func() {
+		close(mc.done)
+		mc.c.Close()
+	}
+}
+
+// TestMuxRetryBounded: a request refused by a breaking connection is
+// retried on another connection, and when every attempt lands on a
+// breaking one the loop gives up after MaxAttempts with the attempt-cap
+// error instead of spinning.
+func TestMuxRetryBounded(t *testing.T) {
+	s := startMuxTestServer(t, echoHandler, 0)
+
+	t.Run("retried on a healthy connection", func(t *testing.T) {
+		c := New(s.addr(), Options{MaxConns: 2, MaxAttempts: 2})
+		defer c.Close()
+		for i := 0; i < 2; i++ { // round robin: one connection per slot
+			if err := c.Ping(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer halfFail(c.tr.slots[0].mc)()
+		// Two consecutive requests start on different slots, so one of
+		// them starts on the breaking connection.
+		for i := 0; i < 2; i++ {
+			if err := c.Ping(); err != nil {
+				t.Fatalf("ping %d not retried on the healthy connection: %v", i, err)
+			}
+		}
+	})
+
+	t.Run("gives up after MaxAttempts", func(t *testing.T) {
+		c := New(s.addr(), Options{MaxConns: 1, MaxAttempts: 2})
+		defer c.Close()
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		finish := halfFail(c.tr.slots[0].mc)
+		err := c.Ping()
+		if err == nil || !strings.Contains(err.Error(), "failed after 2 attempts on broken connections") {
+			t.Errorf("ping on a breaking connection = %v, want the attempt-cap error", err)
+		}
+		finish()
+		if err := c.Ping(); err != nil {
+			t.Errorf("client did not recover once the connection finished breaking: %v", err)
+		}
+	})
 }
 
 // recorder is a Completion that decodes the lent response in place,

@@ -234,54 +234,36 @@ func (s *Sharded) keyCall(key string, call func(*Client) error) error {
 }
 
 // Get fetches key from its owning shard.
-func (s *Sharded) Get(key string) (value []byte, version uint64, err error) {
-	err = s.keyCall(key, func(c *Client) error {
-		value, version, err = c.Get(key)
-		return err
-	})
+func (s *Sharded) Get(key string) ([]byte, uint64, error) {
+	value, version, _, err := s.get(proto.MsgGet, key, 0)
 	return value, version, err
 }
 
-// Fill performs a cache miss fill against key's owning shard.
-func (s *Sharded) Fill(key string) (value []byte, version uint64, err error) {
+// FillTraced performs a cache miss fill against key's owning shard,
+// carrying traceID on the wire (0 = untraced: nothing is sent and the
+// returned trace is nil).
+func (s *Sharded) FillTraced(key string, traceID uint64) ([]byte, uint64, *proto.Trace, error) {
+	return s.get(proto.MsgFill, key, traceID)
+}
+
+func (s *Sharded) get(t proto.MsgType, key string, traceID uint64) (value []byte, version uint64, tr *proto.Trace, err error) {
 	err = s.keyCall(key, func(c *Client) error {
-		value, version, err = c.Fill(key)
+		value, version, tr, err = c.get(t, key, traceID)
 		return err
 	})
-	return value, version, err
+	return value, version, tr, err
 }
 
 // Put writes key to its owning shard.
-func (s *Sharded) Put(key string, value []byte) (version uint64, err error) {
-	err = s.keyCall(key, func(c *Client) error {
-		version, err = c.Put(key, value)
-		return err
-	})
+func (s *Sharded) Put(key string, value []byte) (uint64, error) {
+	version, _, err := s.PutTraced(key, value, 0)
 	return version, err
 }
 
-// GetTraced fetches key from its owning shard with wire-level tracing.
-func (s *Sharded) GetTraced(key string, traceID uint64) (value []byte, version uint64, tr *proto.Trace, err error) {
-	err = s.keyCall(key, func(c *Client) error {
-		value, version, tr, err = c.GetTraced(key, traceID)
-		return err
-	})
-	return value, version, tr, err
-}
-
-// FillTraced performs a traced cache miss fill against key's owner.
-func (s *Sharded) FillTraced(key string, traceID uint64) (value []byte, version uint64, tr *proto.Trace, err error) {
-	err = s.keyCall(key, func(c *Client) error {
-		value, version, tr, err = c.FillTraced(key, traceID)
-		return err
-	})
-	return value, version, tr, err
-}
-
-// PutTraced writes key to its owning shard with wire-level tracing.
+// PutTraced is Put carrying traceID on the wire (0 = untraced).
 func (s *Sharded) PutTraced(key string, value []byte, traceID uint64) (version uint64, tr *proto.Trace, err error) {
 	err = s.keyCall(key, func(c *Client) error {
-		version, tr, err = c.PutTraced(key, value, traceID)
+		version, tr, err = c.put(key, value, traceID)
 		return err
 	})
 	return version, tr, err

@@ -17,22 +17,12 @@ func (s *Sharded) MGet(keys []string) []MGetResult {
 	return res
 }
 
-// MFill is the cache-internal batch miss fill: like MGet but each store
-// records cache fills rather than client reads.
-func (s *Sharded) MFill(keys []string) []MGetResult {
-	res, _ := s.mgetScatter(keys, 0, true)
-	return res
-}
-
-// MGetTraced is MGet with wire-level tracing: one downstream trace per
-// contacted shard (nil for shards that contributed no keys or whose
-// response carried no trace), so a relay can add the per-shard fan-out
-// as sibling hops.
-func (s *Sharded) MGetTraced(keys []string, traceID uint64) ([]MGetResult, []*proto.Trace) {
-	return s.mgetScatter(keys, traceID, false)
-}
-
-// MFillTraced is MFill with wire-level tracing.
+// MFillTraced is the cache-internal batch miss fill: like MGet but each
+// store records cache fills rather than client reads. traceID rides on
+// the wire (0 = untraced) and the traces come back one per contacted
+// shard (nil for shards that contributed no keys or whose response
+// carried no trace), so a relay can add the per-shard fan-out as
+// sibling hops.
 func (s *Sharded) MFillTraced(keys []string, traceID uint64) ([]MGetResult, []*proto.Trace) {
 	return s.mgetScatter(keys, traceID, true)
 }
@@ -44,8 +34,8 @@ func (s *Sharded) MPut(keys []string, values [][]byte) []MPutResult {
 	return res
 }
 
-// MPutTraced is MPut with wire-level tracing (one downstream trace per
-// contacted shard).
+// MPutTraced is MPut carrying traceID on the wire (0 = untraced), with
+// one downstream trace per contacted shard.
 func (s *Sharded) MPutTraced(keys []string, values [][]byte, traceID uint64) ([]MPutResult, []*proto.Trace) {
 	return s.mputScatter(keys, values, traceID)
 }

@@ -36,24 +36,13 @@ func (s *Server) routeMGet(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 		parts[ci].keys = append(parts[ci].keys, k)
 		parts[ci].idx = append(parts[ci].idx, i)
 	}
-	var traceID uint64
-	if tr != nil {
-		traceID = tr.ID()
-	}
 	results := make([]client.MGetResult, len(keys))
 	traces := make([]*proto.Trace, len(s.caches))
 	errs := make([]error, len(s.caches))
 	run := func(ci int) {
 		p := &parts[ci]
-		var (
-			res []client.MGetResult
-			err error
-		)
-		if traceID != 0 {
-			res, traces[ci], err = s.caches[ci].MGetTraced(p.keys, traceID)
-		} else {
-			res, err = s.caches[ci].MGet(p.keys)
-		}
+		res, tct, err := s.caches[ci].MGetTraced(p.keys, tr.ID())
+		traces[ci] = tct
 		if err != nil {
 			errs[ci] = err
 			return
@@ -67,9 +56,7 @@ func (s *Server) routeMGet(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 
 	resp := proto.GetMsg()
 	for ci, tct := range traces {
-		if tct != nil {
-			tr.Add(tct)
-		}
+		tr.Add(tct)
 		if errs[ci] != nil {
 			s.c.Errors.Inc()
 			resp.Type, resp.Err = proto.MsgErr,
@@ -116,17 +103,9 @@ func (s *Server) routeMPut(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 		vals[i] = m.Ops[i].Value // copied off the reader buffer by handleConn
 	}
 	start := time.Now()
-	var results []client.MPutResult
-	if tr != nil {
-		var pts []*proto.Trace
-		results, pts = s.stores.MPutTraced(keys, vals, tr.ID())
-		for _, pt := range pts {
-			if pt != nil {
-				tr.Add(pt)
-			}
-		}
-	} else {
-		results = s.stores.MPut(keys, vals)
+	results, pts := s.stores.MPutTraced(keys, vals, tr.ID())
+	for _, pt := range pts {
+		tr.Add(pt)
 	}
 	s.writeRTT.Observe(float64(time.Since(start)))
 

@@ -524,17 +524,8 @@ func (s *Server) route(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 	case proto.MsgPut:
 		s.c.Writes.Inc()
 		start := time.Now()
-		var (
-			version uint64
-			err     error
-		)
-		if tr != nil {
-			var st *proto.Trace
-			version, st, err = s.stores.PutTraced(m.Key, m.Value, tr.ID())
-			tr.Add(st)
-		} else {
-			version, err = s.stores.Put(m.Key, m.Value)
-		}
+		version, st, err := s.stores.PutTraced(m.Key, m.Value, tr.ID())
+		tr.Add(st)
 		s.writeRTT.Observe(float64(time.Since(start)))
 		resp := proto.GetMsg()
 		if err != nil {
