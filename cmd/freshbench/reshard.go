@@ -308,6 +308,10 @@ func reshardBench(workers int, benchtime time.Duration, tBound float64, jsonPath
 		}
 		fmt.Printf("wrote %s\n", jsonPath)
 	}
+	if report.Violations > 0 || report.TotalErrors > 0 {
+		return fmt.Errorf("reshard broke the guarantee: %d staleness violations, %d failed operations",
+			report.Violations, report.TotalErrors)
+	}
 	return nil
 }
 

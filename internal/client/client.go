@@ -431,19 +431,27 @@ func (c *Client) Append(term, commit uint64, leader string, entry []byte) (ok bo
 	return resp.Status == proto.StatusOK, resp.Epoch, resp.Version, nil
 }
 
-// RepWrite pushes accepted writes (with their primary-assigned
-// versions) and the primary tracker's current counts for their keys to
-// a replica. The replica applies them under restore semantics; the call
-// returns once the replica has acknowledged — the primary's client
-// write is acknowledged only after this.
-func (c *Client) RepWrite(ops []proto.BatchOp, freqs []proto.KeyFreq) error {
+// Restore is the one store-to-store restore push; any part may be
+// empty. ops (key, value, sender-assigned version) are applied under
+// restore semantics — idempotent, never clobbering an entry the receiver
+// has since written with a newer version; freqs, the sender tracker's
+// counts for those keys, are banked for a later promotion; fence raises
+// the receiver's version counter to at least that value. A primary
+// replicates accepted writes with (ops, freqs, 0) and acknowledges its
+// client only after this returns. A donor fences the adopter with
+// (nil, nil, counter) at the instant of a handoff's forward switch, so
+// the versions the adopter assigns from then on order after everything
+// a cache observed from the donor, then hands over its final write tail
+// with (ops, nil, 0). The coordinator fences a failed store's survivors
+// the same way.
+func (c *Client) Restore(ops []proto.BatchOp, freqs []proto.KeyFreq, fence uint64) error {
 	req := newReq(proto.MsgRepWrite)
-	req.Ops, req.Freqs = ops, freqs
+	req.Ops, req.Freqs, req.Version = ops, freqs, fence
 	resp, err := c.do(req)
 	if err != nil {
 		return err
 	}
-	return expectPong(resp, "REPWRITE")
+	return expectPong(resp, "restore push")
 }
 
 // Adopt commands a store (addressed as identity self under the
@@ -458,38 +466,6 @@ func (c *Client) Adopt(ri RingInfo, self string, donors []string) error {
 		return err
 	}
 	return expectPong(resp, "ADOPT")
-}
-
-// MigrateFence raises a store's global version counter to at least
-// version. A donor pushes this through its forwarding connection at
-// the instant of a handoff's forward switch, before any forwarded
-// write, so the versions the adopter assigns from then on order after
-// everything a cache observed from the donor.
-func (c *Client) MigrateFence(version uint64) error {
-	req := newReq(proto.MsgMigrateDone)
-	req.Version = version
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	return expectPong(resp, "version fence")
-}
-
-// MigrateRestore pushes migrated entries (key, value, donor version)
-// into a store under restore semantics: idempotent, and never
-// clobbering an entry the store has since written with a newer
-// version. Used for the final write tail of a handoff.
-func (c *Client) MigrateRestore(ops []proto.BatchOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	req := newReq(proto.MsgMigrateChunk)
-	req.Ops = ops
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	return expectPong(resp, "restore push")
 }
 
 // Release tells a store (identity self) that the attached ring is

@@ -1204,7 +1204,7 @@ func (co *Coordinator) failover(addr string, version uint64) {
 	if version > 0 {
 		for _, n := range remaining {
 			c := co.probeClient(n)
-			if err := c.MigrateFence(version); err != nil {
+			if err := c.Restore(nil, nil, version); err != nil {
 				co.cfg.Logger.Printf("cluster: fencing %s past %d: %v", n, version, err)
 			}
 			c.Close()

@@ -90,6 +90,13 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 9, 0xee, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown type
 	f.Add([]byte{})
 
+	restore := encodeSeed(f, &Msg{Type: MsgRepWrite, Seq: 10, Version: 44,
+		Ops:   []BatchOp{{Kind: BatchUpdate, Key: "k1", Version: 9, Value: []byte("v1")}},
+		Freqs: []KeyFreq{{Key: "k1", Reads: 2, Writes: 5}}})
+	fence := encodeSeed(f, &Msg{Type: MsgRepWrite, Seq: 11, Version: 44})
+	f.Add(restore)
+	f.Add(append(append([]byte(nil), restore...), fence...))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		for {
@@ -150,6 +157,34 @@ func FuzzRoundTrip(f *testing.F) {
 		// the bytes it was given.
 		if err := r.ReadMsgInto(got); !errors.Is(err, io.EOF) {
 			t.Fatalf("expected EOF after single frame, got %v", err)
+		}
+
+		// The same fields as the restore push, each part alone and all
+		// together: ops only, fence only, ops + freqs + fence.
+		ops := []BatchOp{{Kind: BatchUpdate, Key: key, Value: value, Version: version}}
+		freqs := []KeyFreq{{Key: key, Reads: seq, Writes: version}}
+		for _, m := range []*Msg{
+			{Type: MsgRepWrite, Seq: seq, Ops: ops},
+			{Type: MsgRepWrite, Seq: seq, Version: version},
+			{Type: MsgRepWrite, Seq: seq, Ops: ops, Freqs: freqs, Version: version},
+		} {
+			frame, err := AppendFrame(nil, m)
+			if err != nil {
+				t.Fatalf("restore push with a key/value PUT accepted does not encode: %v", err)
+			}
+			if err := NewReader(bytes.NewReader(frame)).ReadMsgInto(got); err != nil {
+				t.Fatalf("decode of freshly encoded restore push: %v", err)
+			}
+			if got.Type != MsgRepWrite || got.Seq != seq || got.Version != m.Version ||
+				len(got.Ops) != len(m.Ops) || len(got.Freqs) != len(m.Freqs) {
+				t.Fatalf("restore push round trip mismatch: got %+v, want %+v", got, m)
+			}
+			if len(m.Ops) == 1 && (got.Ops[0].Key != key || got.Ops[0].Version != version || !bytes.Equal(got.Ops[0].Value, value)) {
+				t.Fatalf("restore push op mismatch: got %+v", got.Ops[0])
+			}
+			if len(m.Freqs) == 1 && got.Freqs[0] != freqs[0] {
+				t.Fatalf("restore push freq mismatch: got %+v", got.Freqs[0])
+			}
 		}
 	})
 }

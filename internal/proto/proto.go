@@ -94,12 +94,11 @@ const (
 	// every key it holds that the attached candidate ring (Epoch, Nodes,
 	// Version) assigns to the adopter.
 	MsgMigrate
-	// MsgMigrateChunk is one slice of a handoff stream: Ops carries
-	// BatchUpdate entries (key, value, version).
-	MsgMigrateChunk
-	// MsgMigrateDone ends a handoff stream: Freqs carries the donor
-	// tracker's per-key read/write counts for the moved keys (policy
-	// warm-start) and Version the donor's global version counter.
+	// MsgMigrateDone ends a range-transfer stream (the MsgRepWrite frames
+	// answering MsgMigrate or MsgRepSync). It has MsgRepWrite's payload:
+	// Freqs carries the sender tracker's per-key read/write counts for
+	// the streamed keys (policy warm-start) and Version the sender's
+	// global version counter.
 	MsgMigrateDone
 	// MsgMigrateAck is the adopter's confirmation that the handoff
 	// stream is fully applied; the donor switches the moved range to
@@ -124,16 +123,21 @@ const (
 	// connection: the replica at identity Key asks a primary (Donors[0])
 	// to stream every key the attached ring (Epoch, Nodes, Version,
 	// Replicas) assigns to that primary with the replica in its replica
-	// set. The primary answers with MsgMigrateChunk frames and a final
+	// set. The primary answers with MsgRepWrite frames and a final
 	// MsgMigrateDone (tracker freqs + version counter); no ACK — there
 	// is no ownership transfer.
 	MsgRepSync
-	// MsgRepWrite is a primary→replica replication push: Ops carries the
-	// accepted writes (key, value, primary-assigned version), Freqs the
-	// primary tracker's current read/write counts for those keys (so a
-	// promoted replica's policy warm-starts). Applied under restore
-	// semantics and answered with MsgPong; a primary acknowledges a
-	// client write only after every replica's PONG.
+	// MsgRepWrite is the one restore push between stores, any part of it
+	// optional: Ops carries entries (key, value, sender-assigned version)
+	// applied under restore semantics — idempotent, never clobbering a
+	// newer entry; Freqs the sender tracker's read/write counts for those
+	// keys (banked, so a promoted replica's policy warm-starts); Version
+	// a fence the receiver raises its version counter to. As a request —
+	// a primary replicating accepted writes (the client's ack waits for
+	// every replica's answer), a donor fencing the adopter and handing
+	// over its write tail at the forward switch, the coordinator fencing
+	// survivors at a failover — it is answered with MsgPong; inside a
+	// range-transfer stream it is one unanswered slice of the range.
 	MsgRepWrite
 	// MsgVote is a coordinator candidate→peer leader-election request:
 	// Epoch the candidate's term, Version/Stamp the index and term of its
@@ -183,8 +187,7 @@ var msgNames = map[MsgType]string{
 	MsgPing: "PING", MsgPong: "PONG", MsgErr: "ERR",
 	MsgRingGet: "RINGGET", MsgRingResp: "RINGRESP",
 	MsgJoin: "JOIN", MsgDrain: "DRAIN", MsgAdopt: "ADOPT",
-	MsgMigrate: "MIGRATE", MsgMigrateChunk: "MIGRATECHUNK",
-	MsgMigrateDone: "MIGRATEDONE", MsgMigrateAck: "MIGRATEACK",
+	MsgMigrate: "MIGRATE", MsgMigrateDone: "MIGRATEDONE", MsgMigrateAck: "MIGRATEACK",
 	MsgRelease: "RELEASE", MsgHeartbeat: "HEARTBEAT",
 	MsgRepSync: "REPSYNC", MsgRepWrite: "REPWRITE",
 	MsgVote: "VOTE", MsgVoteResp: "VOTERESP",
@@ -734,8 +737,8 @@ func appendKeys(b []byte, keys []string) ([]byte, error) {
 	return b, nil
 }
 
-// appendOps encodes a batch-op list (shared by MsgBatch and
-// MsgMigrateChunk).
+// appendOps encodes a batch-op list (shared by MsgBatch, MsgRepWrite
+// and the multi-key messages).
 func appendOps(b []byte, ops []BatchOp) ([]byte, error) {
 	if len(ops) > MaxBatchOps {
 		return b, fmt.Errorf("%w: %d batch ops", ErrMalformed, len(ops))
@@ -908,12 +911,8 @@ func appendPayload(b []byte, m *Msg) ([]byte, error) {
 			return b, err
 		}
 		return appendStringList(b, m.Nodes)
-	case MsgMigrateChunk:
-		return appendOps(b, m.Ops)
-	case MsgMigrateDone:
+	case MsgRepWrite, MsgMigrateDone:
 		b = binary.BigEndian.AppendUint64(b, m.Version)
-		return appendFreqs(b, m.Freqs)
-	case MsgRepWrite:
 		if b, err = appendOps(b, m.Ops); err != nil {
 			return b, err
 		}
@@ -1144,7 +1143,8 @@ func (c *cursor) strList() ([]string, error) {
 	return out, nil
 }
 
-// ops decodes a batch-op list (shared by MsgBatch and MsgMigrateChunk)
+// ops decodes a batch-op list (shared by MsgBatch, MsgRepWrite and the
+// multi-key messages)
 // into dst's capacity.
 func (c *cursor) ops(dst []BatchOp) ([]BatchOp, error) {
 	n, err := c.u32()
@@ -1479,18 +1479,10 @@ func parsePayload(m *Msg, payload []byte, rd *Reader) error {
 		if m.Nodes, err = c.strList(); err != nil {
 			return err
 		}
-	case MsgMigrateChunk:
-		if m.Ops, err = c.ops(m.Ops); err != nil {
-			return err
-		}
-	case MsgMigrateDone:
+	case MsgRepWrite, MsgMigrateDone:
 		if m.Version, err = c.u64(); err != nil {
 			return err
 		}
-		if m.Freqs, err = c.freqs(m.Freqs); err != nil {
-			return err
-		}
-	case MsgRepWrite:
 		if m.Ops, err = c.ops(m.Ops); err != nil {
 			return err
 		}

@@ -69,15 +69,18 @@ func TestRoundTripAllTypes(t *testing.T) {
 			Nodes: []string{"a:1", "b:2", "c:3"}, Donors: []string{"a:1", "b:2"}},
 		{Type: MsgRepSync, Seq: 19, Epoch: 4, Version: 128, Replicas: 3, Key: "c:3",
 			Nodes: []string{"a:1", "b:2", "c:3"}, Donors: []string{"a:1"}},
+		// The one restore push: ops only (a stream slice, a write tail),
+		// fence only (forward switch, failover), and all three parts.
 		{Type: MsgRepWrite, Seq: 23, Ops: []BatchOp{
+			{Kind: BatchUpdate, Key: "k1", Version: 9, Value: []byte("v1")},
+			{Kind: BatchUpdate, Key: "k2", Version: 12, Value: []byte("v2")},
+		}},
+		{Type: MsgRepWrite, Seq: 24, Version: 44},
+		{Type: MsgRepWrite, Seq: 25, Version: 44, Ops: []BatchOp{
 			{Kind: BatchUpdate, Key: "k1", Version: 9, Value: []byte("v1")},
 		}, Freqs: []KeyFreq{{Key: "k1", Reads: 2, Writes: 5}}},
 		{Type: MsgMigrate, Seq: 20, Epoch: 4, Version: 128, Key: "c:3",
 			Nodes: []string{"a:1", "b:2", "c:3"}},
-		{Type: MsgMigrateChunk, Seq: 20, Ops: []BatchOp{
-			{Kind: BatchUpdate, Key: "k1", Version: 9, Value: []byte("v1")},
-			{Kind: BatchUpdate, Key: "k2", Version: 12, Value: []byte("v2")},
-		}},
 		{Type: MsgMigrateDone, Seq: 20, Version: 44, Freqs: []KeyFreq{
 			{Key: "k1", Reads: 10, Writes: 3}, {Key: "k2", Reads: 0, Writes: 7},
 		}},
@@ -90,6 +93,12 @@ func TestRoundTripAllTypes(t *testing.T) {
 		// Normalize empty-vs-nil slices for comparison.
 		if len(got.Value) == 0 {
 			got.Value = nil
+		}
+		if len(got.Ops) == 0 {
+			got.Ops = nil
+		}
+		if len(got.Freqs) == 0 {
+			got.Freqs = nil
 		}
 		want := *m
 		if len(want.Value) == 0 {

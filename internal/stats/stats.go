@@ -1,7 +1,6 @@
 // Package stats provides small, allocation-light metric primitives used
-// across the freshcache simulator and the live servers: monotonic counters,
-// online mean/variance accumulators, and a log-bucketed latency histogram
-// with percentile queries.
+// across the freshcache simulator and the live servers: monotonic counters
+// and a log-bucketed latency histogram with percentile queries.
 //
 // All types are safe for concurrent use unless documented otherwise; the
 // zero value of every type is ready to use.
@@ -29,79 +28,6 @@ func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
-
-// Window reads per-interval deltas from monotonic counters. The old
-// reset-after-read pattern (Counter.Reset) lost increments that raced
-// with the reset; a Window instead remembers the value it last saw per
-// counter and reports the difference, so every increment lands in
-// exactly one interval. A Window is not safe for concurrent use; give
-// each snapshot loop its own.
-type Window struct {
-	last map[*Counter]uint64
-}
-
-// Delta returns c's increase since the previous Delta(c) on this window
-// (or since zero on first read).
-func (w *Window) Delta(c *Counter) uint64 {
-	if w.last == nil {
-		w.last = make(map[*Counter]uint64)
-	}
-	v := c.Value()
-	d := v - w.last[c]
-	w.last[c] = v
-	return d
-}
-
-// Mean tracks an online mean and variance using Welford's algorithm.
-// Mean is NOT safe for concurrent use; guard it externally or use one per
-// goroutine and merge.
-type Mean struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Observe folds one sample into the accumulator.
-func (m *Mean) Observe(x float64) {
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// N returns the number of samples observed.
-func (m *Mean) N() uint64 { return m.n }
-
-// Value returns the current mean, or 0 with no samples.
-func (m *Mean) Value() float64 { return m.mean }
-
-// Variance returns the sample variance, or 0 for fewer than two samples.
-func (m *Mean) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (m *Mean) Stddev() float64 { return math.Sqrt(m.Variance()) }
-
-// Merge folds other into m, as if every sample Observed on other had been
-// Observed on m (Chan et al. parallel variance combination).
-func (m *Mean) Merge(other *Mean) {
-	if other.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *other
-		return
-	}
-	n := m.n + other.n
-	d := other.mean - m.mean
-	mean := m.mean + d*float64(other.n)/float64(n)
-	m2 := m.m2 + other.m2 + d*d*float64(m.n)*float64(other.n)/float64(n)
-	m.n, m.mean, m.m2 = n, mean, m2
-}
 
 // histBuckets is the number of log-spaced buckets in Histogram. With base
 // 1.07 this spans ~9 decades, plenty for ns..minutes latencies.

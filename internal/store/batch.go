@@ -1,339 +1,350 @@
 package store
 
 import (
+	"fmt"
 	"time"
 
 	"freshcache/internal/client"
 	"freshcache/internal/proto"
 )
 
-// Multi-key request serving. The batched forms exist to amortize the
-// per-request costs of the hot path — one frame, one dispatch, one
-// authority lock per touched stripe instead of one per key — while
-// keeping the per-key semantics of the single-key forms exactly: the
-// same freshness accounting, the same cluster forwarding, the same
-// replication ack rules, key by key.
+// Multi-key request serving. A batch amortizes the per-request costs of
+// the hot path — one frame, one dispatch, one placement pass under one
+// cluster lock, one authority lock per touched stripe — while keeping
+// the single-key semantics exactly, key by key: the same freshness
+// accounting, cluster forwarding and replication ack rule. For writes
+// the two are one body: PUT is MPUT's one-op case.
 
-// batchPart is one proxy target's slice of a batch: the keys routed to
-// it, their positions in the original request, and (for writes) their
-// values.
+// batchPart is the slice of a multi-key read served from one place: the
+// keys and their positions in the request. A nil idx means keys is the
+// whole request, in order.
 type batchPart struct {
 	keys []string
-	vals [][]byte // writes only
 	idx  []int
+}
+
+func (p *batchPart) add(key string, i int) {
+	p.keys = append(p.keys, key)
+	p.idx = append(p.idx, i)
+}
+
+func (p *batchPart) pos(j int) int {
+	if p.idx == nil {
+		return j
+	}
+	return p.idx[j]
+}
+
+// observeRead feeds the policy engine one served read. A fill means the
+// cache is re-fetching: its copy becomes fresh, so future writes need a
+// fresh invalidate (§3.3's tracked invalidation state).
+func (s *Server) observeRead(key string, fill bool) {
+	if fill {
+		s.engine.NoteFilled(key)
+	} else {
+		s.engine.ObserveRead(key)
+	}
 }
 
 // dispatchMGet serves MGET/MFILL. The all-local case — every key owned
 // here, the only case on the benchmark hot path — answers synchronously
-// from one authority pass. As soon as any key must be proxied the whole
-// batch moves to a forward goroutine so the cross-node round trips
-// never stall the requests pipelined behind it.
+// from one authority pass over the request's own key slice. As soon as
+// any key must be proxied the whole batch moves to a forward goroutine
+// so the cross-node round trips never stall the requests pipelined
+// behind it.
 func (s *Server) dispatchMGet(m *proto.Msg, cs *connState, out chan proto.Outgoing, tr *proto.SpanRec, fill bool) *proto.Msg {
-	s.clMu.RLock()
-	clustered := s.clusterRing != nil || len(s.outMigs) > 0
-	s.clMu.RUnlock()
-	if clustered {
-		for _, k := range m.Keys {
-			if s.forwardTarget(k) != "" {
-				// m is reused by the connection's read loop; the key
-				// strings are interned, only the slice must be copied.
-				seq, keys := m.Seq, append([]string(nil), m.Keys...)
-				return s.goForward(cs, out, tr, func() *proto.Msg {
-					return s.mgetForward(seq, keys, fill)
-				})
-			}
-		}
+	seq, n := m.Seq, len(m.Keys)
+	local, remote := s.splitReads(m.Keys)
+	if remote == nil {
+		return s.mgetResp(seq, n, local, nil, fill)
 	}
-	return s.mgetResp(m.Seq, m.Keys, fill)
+	return s.goForward(cs, out, tr, func() *proto.Msg {
+		return s.mgetResp(seq, n, local, remote, fill)
+	})
 }
 
-// mgetResp serves a batch entirely from the local authority: one pass
-// grouped by stripe, response ops in request order (BatchUpdate = hit,
+// splitReads places every key of a multi-key read under one cluster
+// lock: the part served here, and one part per store the rest must be
+// proxied to (nil when there is none).
+func (s *Server) splitReads(keys []string) (local batchPart, remote map[string]*batchPart) {
+	s.clMu.RLock()
+	defer s.clMu.RUnlock()
+	for i, k := range keys {
+		target, _ := s.placeLocked(k)
+		if target == "" {
+			if remote != nil {
+				local.add(k, i)
+			}
+			continue
+		}
+		if remote == nil {
+			// The first key owned elsewhere: the batch will outlive the
+			// request Msg, which the connection's read loop reuses, so
+			// the local part gets its own slices (key strings are interned).
+			remote = make(map[string]*batchPart)
+			for j, lk := range keys[:i] {
+				local.add(lk, j)
+			}
+		}
+		p := remote[target]
+		if p == nil {
+			p = &batchPart{}
+			remote[target] = p
+		}
+		p.add(k, i)
+	}
+	if remote == nil {
+		local.keys = keys
+	}
+	return local, remote
+}
+
+// mgetResp answers a multi-key read: the local part in one authority
+// pass grouped by stripe, each remote part as one sub-batch proxied to
+// its owner; response ops in request order (BatchUpdate = hit,
 // BatchInvalidate = not found), per-key served-age and engine
-// accounting identical to N single GETs/FILLs.
-func (s *Server) mgetResp(seq uint64, keys []string, fill bool) *proto.Msg {
-	resp := proto.GetMsg()
-	resp.Type, resp.Seq = proto.MsgMGetResp, seq
-	ops := resp.Ops[:0]
-	for _, k := range keys {
-		ops = append(ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: k})
+// accounting identical to N single GETs/FILLs. A proxy failure fails
+// the whole request (like the single-key forward path) rather than
+// silently reporting reachable keys as missing.
+func (s *Server) mgetResp(seq uint64, n int, local batchPart, remote map[string]*batchPart, fill bool) *proto.Msg {
+	ops := make([]proto.BatchOp, n)
+	for j, k := range local.keys {
+		ops[local.pos(j)] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: k}
 	}
 	// GetViewAgedBatch borrows: authority entries are immutable once
 	// installed, so the values stay stable snapshots through the encode,
 	// exactly as in the single-key getResp.
-	s.auth.GetViewAgedBatch(keys, func(i int, value []byte, version uint64, written time.Time, ok bool) {
+	s.auth.GetViewAgedBatch(local.keys, func(j int, value []byte, version uint64, written time.Time, ok bool) {
 		if !ok {
 			return
 		}
 		s.observeServedAge(written)
-		ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Value: value, Version: version}
+		ops[local.pos(j)] = proto.BatchOp{Kind: proto.BatchUpdate, Key: local.keys[j], Value: value, Version: version}
 	})
-	for _, k := range keys {
-		if fill {
-			s.engine.NoteFilled(k)
-		} else {
-			s.engine.ObserveRead(k)
-		}
-	}
-	resp.Ops = ops
-	return resp
-}
-
-// mgetForward serves a batch with cluster awareness: the locally owned
-// keys in one authority pass, the rest proxied to their owners as one
-// sub-batch per owner. Runs on a forward goroutine. A proxy failure
-// fails the whole request (like the single-key forward path) rather
-// than silently reporting reachable keys as missing.
-func (s *Server) mgetForward(seq uint64, keys []string, fill bool) *proto.Msg {
-	resp := proto.GetMsg()
-	resp.Type, resp.Seq = proto.MsgMGetResp, seq
-	ops := resp.Ops[:0]
-	for _, k := range keys {
-		ops = append(ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: k})
-	}
-	var local batchPart
-	remote := make(map[string]*batchPart)
-	for i, k := range keys {
-		if target := s.forwardTarget(k); target != "" {
-			p := remote[target]
-			if p == nil {
-				p = &batchPart{}
-				remote[target] = p
-			}
-			p.keys = append(p.keys, k)
-			p.idx = append(p.idx, i)
-			continue
-		}
-		local.keys = append(local.keys, k)
-		local.idx = append(local.idx, i)
-	}
-	if len(local.keys) > 0 {
-		s.auth.GetViewAgedBatch(local.keys, func(j int, value []byte, version uint64, written time.Time, ok bool) {
-			if !ok {
-				return
-			}
-			s.observeServedAge(written)
-			ops[local.idx[j]] = proto.BatchOp{Kind: proto.BatchUpdate, Key: local.keys[j], Value: value, Version: version}
-		})
-		for _, k := range local.keys {
-			if fill {
-				s.engine.NoteFilled(k)
-			} else {
-				s.engine.ObserveRead(k)
-			}
-		}
+	for _, k := range local.keys {
+		s.observeRead(k, fill)
 	}
 	for target, p := range remote {
-		peer := s.peer(target)
 		var (
 			res []client.MGetResult
 			err error
 		)
 		if fill {
-			res, err = peer.MFill(p.keys)
+			res, err = s.peer(target).MFill(p.keys)
 		} else {
-			res, err = peer.MGet(p.keys)
+			res, err = s.peer(target).MGet(p.keys)
 		}
 		s.c.ForwardedReads.Add(uint64(len(p.keys)))
 		if err != nil {
-			proto.PutMsg(resp)
 			return errMsg(seq, "store: forwarding batch read (%d keys) to %s: %v", len(p.keys), target, err)
 		}
 		for j, r := range res {
+			ops[p.idx[j]] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: p.keys[j]}
 			if r.Found {
 				ops[p.idx[j]] = proto.BatchOp{Kind: proto.BatchUpdate, Key: p.keys[j], Value: r.Value, Version: r.Version}
 			}
 		}
 	}
-	resp.Ops = ops
+	resp := proto.GetMsg()
+	resp.Type, resp.Seq, resp.Ops = proto.MsgMGetResp, seq, ops
 	return resp
 }
 
-// dispatchMPut applies a batched write with routePut's exact per-key
-// contract — migration dirty-tracking, ownership forwarding, withheld
-// acks under replication — but pays the classification pass and the
-// authority locks once per batch instead of once per key. Local writes
-// apply synchronously on the connection goroutine (so pipelined writes
-// on one connection keep their order); replication fan-out and owner
-// forwarding, when needed, complete on a forward goroutine.
-func (s *Server) dispatchMPut(m *proto.Msg, cs *connState, out chan proto.Outgoing, tr *proto.SpanRec) *proto.Msg {
-	n := len(m.Ops)
-	// Copy out of the reused request Msg: keys are interned strings, but
-	// the values alias the reader's frame buffer. One backing buffer
-	// holds every value copy (one allocation per batch, not per key).
-	total := 0
-	for i := range m.Ops {
-		if m.Ops[i].Kind != proto.BatchUpdate {
-			return errMsg(m.Seq, "store: MPUT op %d has kind %d, want update", i, m.Ops[i].Kind)
-		}
-		total += len(m.Ops[i].Value)
-	}
-	keys := make([]string, n)
-	vals := make([][]byte, n)
-	buf := make([]byte, 0, total)
-	for i := range m.Ops {
-		keys[i] = m.Ops[i].Key
-		start := len(buf)
-		buf = append(buf, m.Ops[i].Value...)
-		vals[i] = buf[start:len(buf):len(buf)]
-	}
+// leg is one network leg of a write request: the positions of the ops
+// that must reach addr before their ack is released — forwarded to it as
+// their owner (fwd), or replicated to it as accepted local writes.
+type leg struct {
+	addr string
+	fwd  bool
+	idx  []int
+}
 
-	// Classify every key under one read-locked pass (the same lock
-	// bracket routePut uses, so a migration's snapshot-plus-dirty-set
-	// stays exhaustive), then apply all local writes with one lock per
-	// authority stripe.
-	type dirtyRec struct {
-		om  *outMigration
-		key string
+// addLeg adds op i of an n-op request to the (addr, fwd) leg.
+func addLeg(legs []leg, addr string, fwd bool, i, n int) []leg {
+	for j := range legs {
+		if legs[j].addr == addr && legs[j].fwd == fwd {
+			legs[j].idx = append(legs[j].idx, i)
+			return legs
+		}
 	}
-	var (
-		versions = make([]uint64, n)
-		local    batchPart
-		localIdx []int
-		dirties  []dirtyRec
-		fwd      map[string]*batchPart
-		reps     map[string][]int // replica addr -> request indices it must hold
-	)
-	now := time.Now()
+	return append(legs, leg{addr: addr, fwd: fwd, idx: append(make([]int, 0, n), i)})
+}
+
+// localWrite is an op applied to the local authority, with the dirty
+// set of the out-streaming range it lands in, if any.
+type localWrite struct {
+	i     int
+	dirty *keySet
+}
+
+// dispatchWrites serves PUT (one op) and MPUT (the batch) under the
+// placement rule, key by key: every op is placed in one read-locked pass
+// (the bracket that keeps a migration's snapshot-plus-dirty-set
+// exhaustive) and the local ones are applied inside it, one lock per
+// authority stripe, on the connection goroutine — so pipelined writes on
+// one connection keep their order. A request with no network leg (every
+// key owned here, no replicas) is answered inline; forwards and
+// replication complete on a forward goroutine (finishWrites).
+func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, out chan proto.Outgoing, tr *proto.SpanRec) *proto.Msg {
+	single := m.Type == proto.MsgPut
+	var ops []proto.BatchOp
+	if single {
+		ops = []proto.BatchOp{{Kind: proto.BatchUpdate, Key: m.Key, Value: m.Value}}
+	} else {
+		for i := range m.Ops {
+			if m.Ops[i].Kind != proto.BatchUpdate {
+				return errMsg(m.Seq, "store: MPUT op %d has kind %d, want update", i, m.Ops[i].Kind)
+			}
+		}
+		// m is reused by the connection's read loop: the keys are interned
+		// strings, the op slice must be copied.
+		ops = append([]proto.BatchOp(nil), m.Ops...)
+	}
+	var legs []leg
+	var localBuf [16]localWrite // keeps the usual request's list off the heap
+	local, now := localBuf[:0], time.Now()
 	s.clMu.RLock()
-	for i, k := range keys {
-		target, migLocal := "", false
-		for _, om := range s.outMigs {
-			if !om.owns(k) {
-				continue
-			}
-			if om.forward {
-				target = om.requester
-			} else {
-				migLocal = true
-				dirties = append(dirties, dirtyRec{om, k})
-			}
-			break
-		}
-		if target == "" && !migLocal && s.clusterRing != nil && s.clusterRing.OwnerAddr(k) != s.selfAddr {
-			target = s.clusterRing.OwnerAddr(k)
-		}
+	for i := range ops {
+		target, dirty := s.placeLocked(ops[i].Key)
 		if target != "" {
-			if fwd == nil {
-				fwd = make(map[string]*batchPart)
-			}
-			p := fwd[target]
-			if p == nil {
-				p = &batchPart{}
-				fwd[target] = p
-			}
-			p.keys = append(p.keys, k)
-			p.vals = append(p.vals, vals[i])
-			p.idx = append(p.idx, i)
+			// The local engine never sees a forwarded write: the next flush
+			// owes old-epoch subscribers an invalidate for its key.
+			s.fwdDirty.add(ops[i].Key)
+			legs = addLeg(legs, target, true, i, len(ops))
 			continue
 		}
-		local.keys = append(local.keys, k)
-		local.vals = append(local.vals, vals[i])
-		localIdx = append(localIdx, i)
-		for _, rep := range s.replicaTargetsLocked(k) {
-			if reps == nil {
-				reps = make(map[string][]int)
-			}
-			reps[rep] = append(reps[rep], i)
+		local = append(local, localWrite{i, dirty})
+	}
+	if len(local) == 1 {
+		o := &ops[local[0].i]
+		o.Version = s.auth.Put(o.Key, o.Value, now)
+	} else if len(local) > 1 {
+		keys, vals, versions := make([]string, len(local)), make([][]byte, len(local)), make([]uint64, len(local))
+		for j, lw := range local {
+			keys[j], vals[j] = ops[lw.i].Key, ops[lw.i].Value
+		}
+		s.auth.PutBatch(keys, vals, versions, now)
+		for j, lw := range local {
+			ops[lw.i].Version = versions[j]
 		}
 	}
-	if len(local.keys) > 0 {
-		lv := make([]uint64, len(local.keys))
-		s.auth.PutBatch(local.keys, local.vals, lv, now)
-		for j, i := range localIdx {
-			versions[i] = lv[j]
+	for _, lw := range local {
+		key := ops[lw.i].Key
+		if lw.dirty != nil {
+			lw.dirty.add(key) // after the write: a dirty round may take it at once
 		}
-		for _, d := range dirties {
-			d.om.noteDirty(d.key)
+		for _, rep := range s.replicaTargetsLocked(key) {
+			legs = addLeg(legs, rep, false, lw.i, len(ops))
 		}
 	}
 	s.clMu.RUnlock()
 
-	for _, k := range local.keys {
-		s.engine.ObserveWrite(k)
+	for _, lw := range local {
+		s.engine.ObserveWrite(ops[lw.i].Key)
 	}
-	if fwd != nil {
-		// Forwarded keys still owe old-epoch subscribers an invalidate on
-		// the next flush, exactly as single-key forwarded puts do.
-		s.fdMu.Lock()
-		for _, p := range fwd {
-			for _, k := range p.keys {
-				s.forwardDirty[k] = struct{}{}
-			}
-		}
-		s.fdMu.Unlock()
+	if len(legs) == 0 {
+		return s.writeResp(m.Seq, ops, single, nil)
 	}
-
-	resp := proto.GetMsg()
-	resp.Type, resp.Seq = proto.MsgMPutResp, m.Seq
-	ops := resp.Ops[:0]
-	for i, k := range keys {
-		ops = append(ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Version: versions[i]})
+	// The values alias the reader's frame buffer and the legs outlive
+	// this dispatch: one backing buffer holds every value copy.
+	total := 0
+	for i := range ops {
+		total += len(ops[i].Value)
 	}
-	resp.Ops = ops
-	if fwd == nil && reps == nil {
-		return resp
+	buf := make([]byte, 0, total)
+	for i := range ops {
+		start := len(buf)
+		buf = append(buf, ops[i].Value...)
+		ops[i].Value = buf[start:len(buf):len(buf)]
 	}
+	seq, ops, legs := m.Seq, ops, legs // single-assignment copies: captured by value, no heap cell
 	return s.goForward(cs, out, tr, func() *proto.Msg {
-		return s.mputFinish(resp, keys, vals, versions, fwd, reps)
+		return s.writeResp(seq, ops, single, s.finishWrites(ops, legs))
 	})
 }
 
-// mputFinish completes a batched write's network legs on a forward
-// goroutine: one MsgRepWrite burst per replica (the ack for a key is
-// withheld — reported failed — if a replica holding it cannot confirm,
-// the batch generalization of replicateWrite's all-or-nothing ack) and
-// one MPUT per forwarded owner. A key that fails either leg answers as
-// BatchInvalidate in the response, which the client surfaces as that
-// key's error; the rest of the batch acknowledges normally.
-func (s *Server) mputFinish(resp *proto.Msg, keys []string, vals [][]byte, versions []uint64,
-	fwd map[string]*batchPart, reps map[string][]int) *proto.Msg {
-	fail := func(i int) {
-		resp.Ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: keys[i]}
-	}
-	if len(reps) > 0 {
-		start := time.Now()
-		acked := false
-		for rep, idxs := range reps {
-			ops := make([]proto.BatchOp, 0, len(idxs))
-			var freqs []proto.KeyFreq
-			for _, i := range idxs {
-				ops = append(ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Value: vals[i], Version: versions[i]})
-				if reads, writes := s.engine.KeyFreq(keys[i]); reads+writes > 0 {
-					freqs = append(freqs, proto.KeyFreq{Key: keys[i], Reads: reads, Writes: writes})
-				}
+// finishWrites performs the network legs of a request's writes — the
+// one write-completion body, run on a forward goroutine so the round
+// trips never stall the requests pipelined behind the write. A
+// replication leg pushes its accepted writes, with their assigned
+// versions and the tracker's current counts for their keys (so a
+// promoted replica's policy warm-starts), as one restore push; a forward
+// leg proxies its writes to their owner as one MPUT and takes the
+// owner-assigned versions. An op is acknowledged only if every leg it
+// rides succeeded; on a failed leg it flips to BatchInvalidate — applied
+// locally, perhaps, but not durable: the client may retry, which restore
+// semantics absorb, and the failure detector drops a dead replica within
+// a few lease intervals. The last leg error is returned.
+func (s *Server) finishWrites(ops []proto.BatchOp, legs []leg) (err error) {
+	var failed []int
+	for _, l := range legs {
+		if l.fwd {
+			keys, vals := make([]string, len(l.idx)), make([][]byte, len(l.idx))
+			for j, i := range l.idx {
+				keys[j], vals[j] = ops[i].Key, ops[i].Value
 			}
-			if err := s.peer(rep).RepWrite(ops, freqs); err != nil {
-				s.cfg.Logger.Printf("store %s: replicating %d batched keys to %s: %v",
-					s.cfg.ShardID, len(idxs), rep, err)
-				for _, i := range idxs {
-					fail(i)
-				}
-				continue
+			res, ferr := s.peer(l.addr).MPut(keys, vals)
+			s.c.ForwardedPuts.Add(uint64(len(keys)))
+			if ferr != nil {
+				err = fmt.Errorf("forwarding %d writes to %s: %w", len(keys), l.addr, ferr)
+				failed = append(failed, l.idx...)
 			}
-			s.c.RepWritesOut.Inc()
-			acked = true
-		}
-		if acked {
-			s.repRTT.Observe(float64(time.Since(start)))
-		}
-	}
-	for target, p := range fwd {
-		res, err := s.peer(target).MPut(p.keys, p.vals)
-		s.c.ForwardedPuts.Add(uint64(len(p.keys)))
-		if err != nil {
-			for _, i := range p.idx {
-				fail(i)
+			for j, r := range res {
+				if r.Err != nil {
+					err = fmt.Errorf("forwarding to %s: %w", l.addr, r.Err)
+					failed = append(failed, l.idx[j])
+				}
+				ops[l.idx[j]].Version = r.Version
 			}
 			continue
 		}
-		for j, r := range res {
-			if r.Err != nil {
-				fail(p.idx[j])
-				continue
+		part := ops // the common case: every op replicates to this peer
+		if len(l.idx) < len(ops) {
+			part = make([]proto.BatchOp, len(l.idx))
+			for j, i := range l.idx {
+				part[j] = ops[i]
 			}
-			resp.Ops[p.idx[j]] = proto.BatchOp{Kind: proto.BatchUpdate, Key: p.keys[j], Version: r.Version}
 		}
+		var freqs []proto.KeyFreq
+		for i := range part {
+			freqs = s.appendFreq(freqs, part[i].Key)
+		}
+		start := time.Now()
+		if rerr := s.peer(l.addr).Restore(part, freqs, 0); rerr != nil {
+			err = fmt.Errorf("replicating %d writes to %s: %w", len(part), l.addr, rerr)
+			failed = append(failed, l.idx...)
+			continue
+		}
+		s.c.RepWritesOut.Inc()
+		s.repRTT.Observe(float64(time.Since(start)))
 	}
+	for _, i := range failed {
+		ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: ops[i].Key}
+	}
+	return err
+}
+
+// writeResp shapes a finished write request's answer. PUT: the assigned
+// version, or the error that withheld the ack. MPUT: one op per key in
+// request order — BatchUpdate with the assigned version, or
+// BatchInvalidate for a key whose leg failed, which the client surfaces
+// as that key's error while the rest of the batch acknowledges.
+func (s *Server) writeResp(seq uint64, ops []proto.BatchOp, single bool, err error) *proto.Msg {
+	if single && err != nil {
+		return errMsg(seq, "store: put %q: %v", ops[0].Key, err)
+	}
+	resp := proto.GetMsg()
+	resp.Seq = seq
+	if single {
+		resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, ops[0].Version
+		return resp
+	}
+	if err != nil {
+		s.cfg.Logger.Printf("store %s: %d-key write: %v", s.cfg.ShardID, len(ops), err)
+	}
+	for i := range ops {
+		ops[i].Value = nil // the response carries versions only
+	}
+	resp.Type, resp.Ops = proto.MsgMPutResp, ops
 	return resp
 }

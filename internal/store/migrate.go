@@ -1,35 +1,36 @@
-// Live resharding: the store-side halves of the cluster control plane.
+// Key placement, restore and range transfer: the store-side half of
+// live resharding, replica bootstrap and failover. Each rule that
+// carries the freshness guarantee through a topology change has one
+// body: placeLocked (where does this key live right now), finishWrites
+// in batch.go (an ack waits for every replica), applyRestore (received
+// entries keep their versions, never clobber newer ones, and fence the
+// receiver's counter past the sender's), streamRange / pullRange (a key
+// range moves as one stream on a dedicated connection).
 //
-// A membership change moves the ~1/N of keys whose ring arc the new
-// topology reassigns. The store that gains a range ("adopter") pulls it
-// from each store that loses it ("donor") over a dedicated connection:
+// One stream serves both pulls — an adopter taking over a range
+// (MIGRATE) and a replica bootstrapping a primary's backlog (REPSYNC):
 //
-//	adopter → donor   MIGRATE   (candidate ring + adopter identity)
-//	donor   → adopter CHUNK*    (key/value/version snapshot slices)
-//	donor   → adopter CHUNK*    (dirty rounds: keys written mid-stream)
-//	donor   → adopter DONE      (tracker freqs + donor version counter)
-//	adopter → donor   ACK       (everything applied and counter bumped)
-//	donor   → adopter PONG      (forward switch + write tail transferred)
+//	puller → sender   MIGRATE | REPSYNC   ring + puller identity
+//	sender → puller   REPWRITE …          snapshot slices (key, value, version)
+//	sender → puller   REPWRITE …          MIGRATE only: dirty rounds, keys written mid-stream
+//	sender → puller   MIGRATEDONE         tracker freqs + sender version counter
+//	puller → sender   MIGRATEACK          MIGRATE only: all applied, counter bumped
+//	sender → puller   PONG                MIGRATE only: forward switch done, tail transferred
 //
-// On ACK the donor atomically switches the moved range to forwarding.
-// Writes block for the instant of the switch, during which the donor
-// pushes a version fence through the peer connection (the adopter
-// bumps its version counter past the donor's switch-time counter), so
-// every write the adopter accepts afterwards orders after every
-// version a cache may already hold for the moved keys. The tail of
-// writes that raced the last dirty round is then transferred with its
-// donor-assigned versions under Restore semantics — idempotent and
-// never clobbering a newer adopter-side write — so no acknowledged
-// write is lost regardless of how the tail interleaves with freshly
-// forwarded traffic. Only after fence and tail are applied does the
-// donor answer the ACK; only after every donor has answered does the
-// coordinator publish the new ring epoch.
+// and one restore push — REPWRITE as a request, answered PONG — carries
+// everything that moves outside a stream: a primary's accepted writes
+// to its replicas, the donor's version fence and write tail at the
+// forward switch, the coordinator's failover fence.
 //
-// Until that publish, caches are still subscribed under the old
-// epoch, so the donor keeps pushing invalidates for forwarded keys
-// (flushOnce) and forwards their reads — bounded staleness holds
-// through the transition. If any step fails, the donor rolls the
-// switch back (or the coordinator never publishes) and a retried join
+// A replica bootstrap ends at MIGRATEDONE: no ownership moves, and new
+// writes already reach the replica live. A handoff goes on: on ACK the
+// donor switches the moved range to forwarding (handleMigrateAck), and
+// only after every donor has answered does the coordinator publish the
+// new ring epoch. Until that publish, caches are still subscribed under
+// the old epoch, so the donor keeps pushing invalidates for forwarded
+// keys (flushOnce) and forwards their reads — bounded staleness holds
+// through the transition. If any step fails, the donor rolls the switch
+// back (or the coordinator never publishes) and a retried join
 // re-streams idempotently.
 package store
 
@@ -46,6 +47,43 @@ import (
 	"freshcache/internal/ring"
 )
 
+// keySet is a set of keys filled on the data path and drained by a
+// background round: an outbound migration's dirty set (writes the
+// stream still owes the adopter) and the store's forwarded-write set
+// (invalidates the next flush still owes old-epoch subscribers). The
+// zero value is ready to use.
+type keySet struct {
+	mu sync.Mutex
+	m  map[string]struct{}
+}
+
+// add records keys; it also refills a set with keys a failed round took.
+func (ks *keySet) add(keys ...string) {
+	ks.mu.Lock()
+	if ks.m == nil {
+		ks.m = make(map[string]struct{})
+	}
+	for _, k := range keys {
+		ks.m[k] = struct{}{}
+	}
+	ks.mu.Unlock()
+}
+
+// take drains the set.
+func (ks *keySet) take() []string {
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	if len(ks.m) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(ks.m))
+	for k := range ks.m {
+		keys = append(keys, k)
+	}
+	clear(ks.m)
+	return keys
+}
+
 // outMigration is one outbound key-range handoff on the donor.
 type outMigration struct {
 	requester string // adopter identity (its ring address)
@@ -55,53 +93,20 @@ type outMigration struct {
 	// adopter from then on. Written under Server.clMu (write lock),
 	// read under its read lock.
 	forward bool
-
-	mu    sync.Mutex // guards dirty (written on the data path)
-	dirty map[string]struct{}
+	dirty   keySet // writes to the range since registration
 }
 
-// noteDirty records a write to the migrating range.
-func (om *outMigration) noteDirty(key string) {
-	om.mu.Lock()
-	om.dirty[key] = struct{}{}
-	om.mu.Unlock()
-}
-
-// takeDirty drains the dirty set.
-func (om *outMigration) takeDirty() []string {
-	om.mu.Lock()
-	defer om.mu.Unlock()
-	if len(om.dirty) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(om.dirty))
-	for k := range om.dirty {
-		keys = append(keys, k)
-	}
-	om.dirty = make(map[string]struct{})
-	return keys
-}
-
-// refillDirty puts keys back after a failed forward switch.
-func (om *outMigration) refillDirty(keys []string) {
-	om.mu.Lock()
-	for _, k := range keys {
-		om.dirty[k] = struct{}{}
-	}
-	om.mu.Unlock()
-}
-
-// Chunking bounds for the migration stream; a chunk closes at
-// whichever limit it hits first (frames are capped at proto.MaxFrame).
+// Chunking bounds for range transfers; a chunk closes at whichever
+// limit it hits first (frames are capped at proto.MaxFrame).
 const (
 	migChunkOps   = 512
 	migChunkBytes = 1 << 20
 )
 
-// dialTimeout/migrateIdle bound the adopter's pull: the dial, and the
-// longest silence between stream frames. fenceTimeout bounds the
-// version-fence RPC issued under the donor's write lock — it is the
-// worst-case write pause of a forward switch, so it is kept tight.
+// dialTimeout/migrateIdle bound a pull: the dial, and the longest
+// silence between stream frames. fenceTimeout bounds the version-fence
+// RPC issued under the donor's write lock — it is the worst-case write
+// pause of a forward switch, so it is kept tight.
 const (
 	migDialTimeout = 5 * time.Second
 	migIdleTimeout = 30 * time.Second
@@ -113,8 +118,8 @@ func errMsg(seq uint64, format string, args ...any) *proto.Msg {
 	return &proto.Msg{Type: proto.MsgErr, Seq: seq, Err: fmt.Sprintf(format, args...)}
 }
 
-// parseRingMsg builds the candidate ring carried by an
-// Adopt/Migrate/Release message.
+// parseRingMsg builds the ring carried by an Adopt/Migrate/Release/
+// RepSync message.
 func parseRingMsg(m *proto.Msg) (*ring.Ring, error) {
 	r, err := ring.New(m.Nodes, int(m.Version))
 	if err != nil {
@@ -123,84 +128,41 @@ func parseRingMsg(m *proto.Msg) (*ring.Ring, error) {
 	return r, nil
 }
 
-// ---- Write/read interception (data path) ----
+// ---- Placement (data path) ----
 
-// routePut applies a client write with cluster awareness. Local
-// applies happen under clMu's read lock (shared, cheap) so a
-// migration's registration — which takes the write lock — covers
-// every write exactly once: a write either completes before the
-// snapshot or observes the registered migration and dirty-tracks. A
-// nil response means the write belongs to target and must be
-// forwarded (the switch that set forward already fenced the adopter's
-// version counter, so the versions forwarded writes are assigned
-// order after everything a cache may hold). A non-nil response with a
-// non-empty reps list was applied locally but must not be acknowledged
-// until every listed replica holds it (replicateWrite).
-func (s *Server) routePut(m *proto.Msg) (resp *proto.Msg, target string, reps []string) {
-	s.clMu.RLock()
+// placeLocked is the placement rule: where key lives right now. A
+// non-empty target means another store — the adopter, once the key's
+// range switched to forwarding (the switch already fenced the adopter's
+// version counter, so the versions forwarded writes are assigned order
+// after everything a cache may hold), or the ring owner, once a
+// published ring says the key lives elsewhere. Otherwise the key is
+// served here, and a non-nil dirty means it sits in a range still
+// streaming out: a local write must be recorded there after it is
+// applied.
+//
+// The caller holds clMu for reading — once per request, across the
+// local authority writes the answer leads to. Control-plane transitions
+// (migration registration, the forward switch, ring installs) take the
+// write lock, so a migration's registration covers every write exactly
+// once: a write either completes before the snapshot or observes the
+// registered migration and dirty-tracks.
+func (s *Server) placeLocked(key string) (target string, dirty *keySet) {
 	for _, om := range s.outMigs {
-		if !om.owns(m.Key) {
+		if !om.owns(key) {
 			continue
 		}
 		if om.forward {
-			target = om.requester
-		} else {
-			version := s.auth.Put(m.Key, m.Value, time.Now())
-			om.noteDirty(m.Key)
-			resp = &proto.Msg{Type: proto.MsgPutResp, Seq: m.Seq, Status: proto.StatusOK, Version: version}
-			reps = s.replicaTargetsLocked(m.Key)
+			return om.requester, nil
 		}
+		dirty = &om.dirty
 		break
-	}
-	if resp == nil && target == "" {
-		if s.clusterRing != nil && s.clusterRing.OwnerAddr(m.Key) != s.selfAddr {
-			target = s.clusterRing.OwnerAddr(m.Key)
-		} else {
-			version := s.auth.Put(m.Key, m.Value, time.Now())
-			resp = &proto.Msg{Type: proto.MsgPutResp, Seq: m.Seq, Status: proto.StatusOK, Version: version}
-			reps = s.replicaTargetsLocked(m.Key)
-		}
-	}
-	s.clMu.RUnlock()
-	if resp != nil {
-		s.engine.ObserveWrite(m.Key)
-		return resp, "", reps
-	}
-	// Remember the key so the next flush pushes an invalidate to
-	// subscribers still on the old ring epoch.
-	s.fdMu.Lock()
-	s.forwardDirty[m.Key] = struct{}{}
-	s.fdMu.Unlock()
-	return nil, target, nil
-}
-
-// forwardPut proxies a write to the key's current owner.
-func (s *Server) forwardPut(seq uint64, key string, value []byte, target string) *proto.Msg {
-	version, err := s.peer(target).Put(key, value)
-	if err != nil {
-		return errMsg(seq, "store: forwarding put for %q to %s: %v", key, target, err)
-	}
-	s.c.ForwardedPuts.Inc()
-	return &proto.Msg{Type: proto.MsgPutResp, Seq: seq, Status: proto.StatusOK, Version: version}
-}
-
-// forwardTarget reports where a read for key must be served from ("" =
-// locally): the adopter once the range switched to forwarding, or the
-// ring owner once a published ring says the key lives elsewhere.
-func (s *Server) forwardTarget(key string) string {
-	s.clMu.RLock()
-	defer s.clMu.RUnlock()
-	for _, om := range s.outMigs {
-		if om.forward && om.owns(key) {
-			return om.requester
-		}
 	}
 	if s.clusterRing != nil {
 		if owner := s.clusterRing.OwnerAddr(key); owner != s.selfAddr {
-			return owner
+			return owner, nil
 		}
 	}
-	return ""
+	return "", dirty
 }
 
 // forwardGet proxies a read to the key's current owner. Fills stay
@@ -229,47 +191,20 @@ func (s *Server) forwardGet(seq uint64, key, target string, fill bool) *proto.Ms
 	}
 }
 
-// forwardReports relays read reports for keys this store no longer
-// owns to their ring owners (best effort).
-func (s *Server) forwardReports(stray []proto.ReadReport) {
-	s.clMu.RLock()
-	r, self := s.clusterRing, s.selfAddr
-	s.clMu.RUnlock()
-	if r == nil {
-		return
-	}
-	byOwner := make(map[string][]proto.ReadReport)
-	for _, rp := range stray {
-		if owner := r.OwnerAddr(rp.Key); owner != self {
-			byOwner[owner] = append(byOwner[owner], rp)
+// forwardReports relays read reports for keys this store does not serve
+// to the stores that do (best effort).
+func (s *Server) forwardReports(stray map[string][]proto.ReadReport) {
+	for target, part := range stray {
+		if err := s.peer(target).ReadReport(part); err != nil {
+			s.cfg.Logger.Printf("store %s: relaying read reports to %s: %v", s.cfg.ShardID, target, err)
 		}
 	}
-	for owner, part := range byOwner {
-		if err := s.peer(owner).ReadReport(part); err != nil {
-			s.cfg.Logger.Printf("store %s: relaying read reports to %s: %v", s.cfg.ShardID, owner, err)
-		}
-	}
-}
-
-// takeForwardDirty drains the forwarded-write key set for flushOnce.
-func (s *Server) takeForwardDirty() []string {
-	s.fdMu.Lock()
-	defer s.fdMu.Unlock()
-	if len(s.forwardDirty) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(s.forwardDirty))
-	for k := range s.forwardDirty {
-		keys = append(keys, k)
-	}
-	s.forwardDirty = make(map[string]struct{})
-	return keys
 }
 
 // peer returns (creating if needed) the forwarding client for a peer
 // store — one multiplexed connection per peer. (No ordering is
 // required of it: the version fence completes before the write lock
-// releases, and tail transfers use order-free restore semantics.)
+// releases, and restore pushes are order-free.)
 func (s *Server) peer(addr string) *client.Client {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
@@ -281,13 +216,171 @@ func (s *Server) peer(addr string) *client.Client {
 	return c
 }
 
+// ---- Restore and range transfer ----
+
+// applyRestore is the one place state received from another store
+// enters this one. Entries keep their sender-assigned versions under
+// Restore's guard — idempotent, never regressing a key, and raising the
+// version counter to at least each version — so stream slices, dirty
+// rounds, tails, replication pushes and their retries may interleave
+// freely. fence raises the counter past the sender's own, so every
+// version assigned here afterwards orders after anything a cache saw
+// from the sender. The sender's tracker counts either warm-start the
+// policy engine (an adopter: the keys are now its own) or, with bank,
+// wait in pendingFreqs — a replica must not push freshness traffic for
+// keys it does not own, but a promotion turns the bank into a warm
+// start. It reports how many entries were installed.
+func (s *Server) applyRestore(ops []proto.BatchOp, freqs []proto.KeyFreq, fence uint64, bank bool) (restored uint64) {
+	now := time.Now()
+	for _, op := range ops {
+		if op.Kind == proto.BatchUpdate && s.auth.Restore(op.Key, op.Value, op.Version, now) {
+			restored++
+		}
+	}
+	s.auth.BumpVersion(fence)
+	if !bank {
+		for _, f := range freqs {
+			s.engine.WarmStart(f.Key, f.Reads, f.Writes)
+		}
+	} else if len(freqs) > 0 {
+		s.repMu.Lock()
+		for _, f := range freqs {
+			s.pendingFreqs[f.Key] = f
+		}
+		s.repMu.Unlock()
+	}
+	return restored
+}
+
+// appendFreq appends the policy tracker's counts for key, if it has any.
+func (s *Server) appendFreq(freqs []proto.KeyFreq, key string) []proto.KeyFreq {
+	if reads, writes := s.engine.KeyFreq(key); reads+writes > 0 {
+		freqs = append(freqs, proto.KeyFreq{Key: key, Reads: reads, Writes: writes})
+	}
+	return freqs
+}
+
+// resolveEntries looks keys back up in the authority. The views are
+// borrowed but stable: authority entries are immutable once installed.
+func (s *Server) resolveEntries(keys []string) []kv.MigEntry {
+	out := make([]kv.MigEntry, 0, len(keys))
+	for _, k := range keys {
+		if value, version, ok := s.auth.GetView(k); ok {
+			out = append(out, kv.MigEntry{Key: k, Value: value, Version: version})
+		}
+	}
+	return out
+}
+
+// nextChunk cuts the next restore-push payload off entries, closing it
+// at whichever chunk bound it hits first.
+func nextChunk(entries []kv.MigEntry) (ops []proto.BatchOp, rest []kv.MigEntry) {
+	n, bytes := 0, 0
+	for n < len(entries) && n < migChunkOps && bytes < migChunkBytes {
+		bytes += len(entries[n].Key) + len(entries[n].Value)
+		n++
+	}
+	ops = make([]proto.BatchOp, n)
+	for i, e := range entries[:n] {
+		ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: e.Key, Value: e.Value, Version: e.Version}
+	}
+	return ops, entries[n:]
+}
+
+// streamRange is the sending half of a range transfer: it queues the
+// snapshot of every held key satisfying owns on the connection's writer
+// as REPWRITE frames, then — for a handoff, whose dirty set records the
+// writes landing in the range meanwhile — rounds of the keys dirtied
+// while streaming, and returns the closing MIGRATEDONE (the tracker's
+// counts for the streamed keys and the version counter) with the number
+// of distinct keys streamed.
+func (s *Server) streamRange(out chan proto.Outgoing, seq uint64, owns func(key string) bool, dirty *keySet) (done *proto.Msg, moved int) {
+	snap := s.auth.SnapshotOwned(owns)
+	sent := make(map[string]struct{}, len(snap))
+	send := func(entries []kv.MigEntry) {
+		for len(entries) > 0 {
+			var ops []proto.BatchOp
+			ops, entries = nextChunk(entries)
+			for i := range ops {
+				sent[ops[i].Key] = struct{}{}
+			}
+			out <- proto.Outgoing{Msg: &proto.Msg{Type: proto.MsgRepWrite, Seq: seq, Ops: ops}, Pooled: true}
+		}
+	}
+	send(snap)
+	// Dirty rounds: writes that landed during the stream are re-streamed
+	// until a round comes up dry. The round count is bounded; whatever
+	// still races the last round is transferred during the ACK switch, so
+	// termination does not depend on write load.
+	for round := 0; dirty != nil && round < 4; round++ {
+		keys := dirty.take()
+		if len(keys) == 0 {
+			break
+		}
+		send(s.resolveEntries(keys))
+	}
+	freqs := make([]proto.KeyFreq, 0, len(sent))
+	for k := range sent {
+		if len(freqs) == proto.MaxBatchOps { // warm-start is best effort
+			break
+		}
+		freqs = s.appendFreq(freqs, k)
+	}
+	return &proto.Msg{Type: proto.MsgMigrateDone, Seq: seq,
+		Version: s.auth.Version(), Freqs: freqs}, len(sent)
+}
+
+// pullRange is the receiving half: it sends req (MIGRATE or REPSYNC) to
+// addr on a dedicated connection and applies the answering stream —
+// every slice under applyRestore, the closing MIGRATEDONE folding in
+// the sender's version counter and tracker counts. finish, if set, then
+// completes the exchange on the still-open connection. It reports the
+// entries installed.
+func (s *Server) pullRange(addr string, req *proto.Msg, bank bool,
+	finish func(w *proto.Writer, read func() (*proto.Msg, error)) error) (restored uint64, err error) {
+	conn, err := net.DialTimeout("tcp", addr, migDialTimeout)
+	if err != nil {
+		return 0, fmt.Errorf("dialing %s: %w", addr, err)
+	}
+	defer conn.Close()
+	w, r := proto.NewWriter(conn), proto.NewReader(conn)
+	read := func() (*proto.Msg, error) {
+		if err := conn.SetReadDeadline(time.Now().Add(migIdleTimeout)); err != nil {
+			return nil, err
+		}
+		return r.ReadMsg()
+	}
+	if err := w.WriteMsg(req); err != nil {
+		return 0, fmt.Errorf("sending %v: %w", req.Type, err)
+	}
+	for {
+		fr, err := read()
+		if err != nil {
+			return restored, fmt.Errorf("reading range stream: %w", err)
+		}
+		switch fr.Type {
+		case proto.MsgRepWrite, proto.MsgMigrateDone:
+			restored += s.applyRestore(fr.Ops, fr.Freqs, fr.Version, bank)
+			if fr.Type == proto.MsgRepWrite {
+				continue
+			}
+			if finish == nil {
+				return restored, nil
+			}
+			return restored, finish(w, read)
+		case proto.MsgErr:
+			return restored, errors.New(fr.Err)
+		default:
+			return restored, fmt.Errorf("unexpected %v in range stream", fr.Type)
+		}
+	}
+}
+
 // ---- Donor side ----
 
-// handleMigrate streams the requested key range to the adopter: the
-// snapshot, then rounds of keys dirtied while streaming, then DONE
-// with the policy tracker's per-key stats. The migration is registered
-// before the snapshot (both under clMu), so every concurrent write is
-// either in the snapshot or dirty-tracked.
+// handleMigrate streams the requested key range to the adopter. The
+// migration is registered before the snapshot (both under clMu), so
+// every concurrent write is either in the snapshot or dirty-tracked.
 func (s *Server) handleMigrate(m *proto.Msg, cs *connState, out chan proto.Outgoing) *proto.Msg {
 	newRing, err := parseRingMsg(m)
 	if err != nil {
@@ -300,93 +393,25 @@ func (s *Server) handleMigrate(m *proto.Msg, cs *connState, out chan proto.Outgo
 		return errMsg(m.Seq, "store: migration already active on this connection")
 	}
 	requester := m.Key
-	owns := func(key string) bool { return newRing.OwnerAddr(key) == requester }
 	om := &outMigration{
 		requester: requester,
 		epoch:     m.Epoch,
-		owns:      owns,
-		dirty:     make(map[string]struct{}),
+		owns:      func(key string) bool { return newRing.OwnerAddr(key) == requester },
 	}
 	s.clMu.Lock()
 	s.outMigs = append(s.outMigs, om)
 	s.clMu.Unlock()
+	cs.mig = om
+	s.c.MigrationsOut.Inc()
 	// Exhaustiveness without holding the write lock across the O(keys)
 	// scan: registration (above) happens-before the snapshot, so a
 	// write is either complete before registration (in the snapshot),
 	// or sees the migration and dirty-tracks. A write that does both —
 	// lands mid-snapshot and dirty-tracks — is streamed twice, which
 	// Restore's version guard makes harmless.
-	snap := s.auth.SnapshotOwned(owns)
-	cs.mig = om
-	s.c.MigrationsOut.Inc()
-
-	moved := make(map[string]struct{}, len(snap))
-	s.streamChunks(out, m.Seq, snap, moved)
-	// Dirty rounds: writes that landed during the stream are
-	// re-streamed until a round comes up dry. The round count is
-	// bounded; whatever still races the last round is transferred
-	// during the ACK switch, so termination does not depend on write
-	// load.
-	for round := 0; round < 4; round++ {
-		keys := om.takeDirty()
-		if len(keys) == 0 {
-			break
-		}
-		s.streamChunks(out, m.Seq, s.resolveEntries(keys), moved)
-	}
-
-	freqs := make([]proto.KeyFreq, 0, len(moved))
-	for k := range moved {
-		if len(freqs) == proto.MaxBatchOps { // warm-start is best effort
-			break
-		}
-		reads, writes := s.engine.KeyFreq(k)
-		if reads+writes > 0 {
-			freqs = append(freqs, proto.KeyFreq{Key: k, Reads: reads, Writes: writes})
-		}
-	}
-	s.c.KeysMigratedOut.Add(uint64(len(moved)))
-	return &proto.Msg{Type: proto.MsgMigrateDone, Seq: m.Seq,
-		Version: s.auth.Version(), Freqs: freqs}
-}
-
-// resolveEntries looks dirty keys back up in the authority. The views
-// are borrowed but stable: authority entries are immutable once
-// installed.
-func (s *Server) resolveEntries(keys []string) []kv.MigEntry {
-	out := make([]kv.MigEntry, 0, len(keys))
-	for _, k := range keys {
-		if value, version, ok := s.auth.GetView(k); ok {
-			out = append(out, kv.MigEntry{Key: k, Value: value, Version: version})
-		}
-	}
-	return out
-}
-
-// streamChunks queues entries as MIGRATECHUNK frames on the
-// connection's writer, splitting at the chunk bounds.
-func (s *Server) streamChunks(out chan proto.Outgoing, seq uint64, entries []kv.MigEntry, moved map[string]struct{}) {
-	ops := make([]proto.BatchOp, 0, migChunkOps)
-	bytes := 0
-	flush := func() {
-		if len(ops) == 0 {
-			return
-		}
-		out <- proto.Outgoing{Msg: &proto.Msg{Type: proto.MsgMigrateChunk, Seq: seq, Ops: ops}, Pooled: true}
-		ops = make([]proto.BatchOp, 0, migChunkOps)
-		bytes = 0
-	}
-	for _, e := range entries {
-		moved[e.Key] = struct{}{}
-		ops = append(ops, proto.BatchOp{
-			Kind: proto.BatchUpdate, Key: e.Key, Value: e.Value, Version: e.Version,
-		})
-		bytes += len(e.Key) + len(e.Value)
-		if len(ops) >= migChunkOps || bytes >= migChunkBytes {
-			flush()
-		}
-	}
-	flush()
+	done, moved := s.streamRange(out, m.Seq, om.owns, &om.dirty)
+	s.c.KeysMigratedOut.Add(uint64(moved))
+	return done
 }
 
 // handleMigrateAck switches the migrated range to forwarding and
@@ -396,13 +421,13 @@ func (s *Server) streamChunks(out chan proto.Outgoing, seq uint64, entries []kv.
 //
 // Under the write lock (writes block for this instant) the donor
 // flips the range to forwarding, collects the final write tail, and
-// pushes a version fence through the peer connection: the adopter
-// bumps its version counter past the donor's switch-time counter
-// before any forwarded write can be assigned a version, so adopter
-// versions always order after every donor version a cache may hold.
-// The tail itself is transferred outside the lock with donor-assigned
-// versions under Restore semantics — idempotent and never clobbering
-// the newer forwarded writes it may interleave with.
+// pushes a version fence to the adopter: the adopter bumps its version
+// counter past the donor's switch-time counter before any forwarded
+// write can be assigned a version, so adopter versions always order
+// after every donor version a cache may hold. The tail itself is
+// pushed outside the lock with donor-assigned versions under restore
+// semantics — idempotent and never clobbering the newer forwarded
+// writes it may interleave with.
 //
 // If the fence fails the switch is rolled back (writes stay local and
 // dirty-tracked) and the ACK is answered with an error: the adopter
@@ -410,10 +435,10 @@ func (s *Server) streamChunks(out chan proto.Outgoing, seq uint64, entries []kv.
 // join re-streams idempotently. A failed tail transfer is likewise an
 // error — the tail still lives in the donor's authority, so the retry
 // re-streams it.
-func (s *Server) handleMigrateAck(cs *connState) *proto.Msg {
+func (s *Server) handleMigrateAck(seq uint64, cs *connState) *proto.Msg {
 	om := cs.mig
 	if om == nil {
-		return errMsg(0, "store: migrate-ack without an active migration")
+		return errMsg(seq, "store: migrate-ack without an active migration")
 	}
 	// The fence runs under the write lock, so it gets its own client
 	// with tight timeouts, pre-dialed before the lock is taken: if the
@@ -425,30 +450,27 @@ func (s *Server) handleMigrateAck(cs *connState) *proto.Msg {
 	})
 	defer fencer.Close()
 	if err := fencer.Ping(); err != nil {
-		return errMsg(0, "store: adopter %s unreachable at switch: %v", om.requester, err)
+		return errMsg(seq, "store: adopter %s unreachable at switch: %v", om.requester, err)
 	}
 	s.clMu.Lock()
 	om.forward = true
-	tail := om.takeDirty()
-	fence := s.auth.Version()
-	err := fencer.MigrateFence(fence)
-	if err != nil {
+	tail := om.dirty.take()
+	if err := fencer.Restore(nil, nil, s.auth.Version()); err != nil {
 		om.forward = false
-		om.refillDirty(tail)
+		om.dirty.add(tail...)
 		s.clMu.Unlock()
-		return errMsg(0, "store: version fence to %s: %v", om.requester, err)
+		return errMsg(seq, "store: version fence to %s: %v", om.requester, err)
 	}
 	s.clMu.Unlock()
 
-	entries := s.resolveEntries(tail)
-	ops := make([]proto.BatchOp, 0, len(entries))
-	for _, e := range entries {
-		ops = append(ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: e.Key, Value: e.Value, Version: e.Version})
+	for entries := s.resolveEntries(tail); len(entries) > 0; {
+		var ops []proto.BatchOp
+		ops, entries = nextChunk(entries)
+		if err := s.peer(om.requester).Restore(ops, nil, 0); err != nil {
+			return errMsg(seq, "store: transferring %d-write tail to %s: %v", len(tail), om.requester, err)
+		}
 	}
-	if err := s.peer(om.requester).MigrateRestore(ops); err != nil {
-		return errMsg(0, "store: transferring %d-write tail to %s: %v", len(ops), om.requester, err)
-	}
-	return &proto.Msg{Type: proto.MsgPong}
+	return &proto.Msg{Type: proto.MsgPong, Seq: seq}
 }
 
 // abortMigration discards a not-yet-forwarding migration whose
@@ -528,15 +550,10 @@ func (s *Server) installPublishedRing(epoch uint64, newRing *ring.Ring, self str
 		// A clean join/drain never takes this path: its adopters
 		// install the candidate ring during the adopt phase, so old
 		// and new owner agree by the time the release lands.
-		promoted := s.auth.SnapshotOwned(func(key string) bool {
+		for _, e := range s.auth.SnapshotOwned(func(key string) bool {
 			return newRing.OwnerAddr(key) == self && oldRing.OwnerAddr(key) != self
-		})
-		if len(promoted) > 0 {
-			s.fdMu.Lock()
-			for _, e := range promoted {
-				s.forwardDirty[e.Key] = struct{}{}
-			}
-			s.fdMu.Unlock()
+		}) {
+			s.fwdDirty.add(e.Key)
 		}
 	}
 	s.syncReplicas(epoch, newRing, self, replicas)
@@ -581,76 +598,34 @@ func (s *Server) handleAdopt(m *proto.Msg) *proto.Msg {
 	return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
 }
 
-// pullFrom runs one MIGRATE pull against a donor on a dedicated
-// connection, restoring entries and warm-starting the policy tracker,
-// and ACKs once the donor's version counter is folded in — only then
-// may the donor start forwarding writes here.
+// pullFrom runs one MIGRATE pull against a donor, warm-starting the
+// policy tracker from the donor's counts, and ACKs once the stream —
+// the donor's version counter included — is folded in: only then may
+// the donor start forwarding writes here.
 func (s *Server) pullFrom(donor string, m *proto.Msg) error {
-	conn, err := net.DialTimeout("tcp", donor, migDialTimeout)
-	if err != nil {
-		return fmt.Errorf("dialing donor: %w", err)
-	}
-	defer conn.Close()
-	w, r := proto.NewWriter(conn), proto.NewReader(conn)
 	req := &proto.Msg{Type: proto.MsgMigrate, Seq: 1, Key: m.Key,
 		Epoch: m.Epoch, Version: m.Version, Nodes: m.Nodes}
-	if err := w.WriteMsg(req); err != nil {
-		return fmt.Errorf("sending migrate: %w", err)
-	}
-	restored := uint64(0)
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(migIdleTimeout)); err != nil {
-			return err
+	restored, err := s.pullRange(donor, req, false, func(w *proto.Writer, read func() (*proto.Msg, error)) error {
+		if err := w.WriteMsg(&proto.Msg{Type: proto.MsgMigrateAck, Seq: 2}); err != nil {
+			return fmt.Errorf("sending ack: %w", err)
 		}
-		fr, err := r.ReadMsg()
+		// The handoff is complete only once the donor confirms the
+		// forward switch (version fence + write tail transferred):
+		// without this confirmation the coordinator must not publish,
+		// or donor-acknowledged writes could be released away before
+		// they reach us.
+		confirm, err := read()
 		if err != nil {
-			return fmt.Errorf("reading migration stream: %w", err)
+			return fmt.Errorf("reading ack confirmation: %w", err)
 		}
-		switch fr.Type {
-		case proto.MsgMigrateChunk:
-			now := time.Now()
-			for _, op := range fr.Ops {
-				if op.Kind != proto.BatchUpdate {
-					continue
-				}
-				if s.auth.Restore(op.Key, op.Value, op.Version, now) {
-					restored++
-				}
-			}
-		case proto.MsgMigrateDone:
-			// Order past every donor-assigned version before accepting
-			// (forwarded) writes for the moved keys.
-			s.auth.BumpVersion(fr.Version)
-			for _, f := range fr.Freqs {
-				s.engine.WarmStart(f.Key, f.Reads, f.Writes)
-			}
-			s.c.KeysMigratedIn.Add(restored)
-			if err := w.WriteMsg(&proto.Msg{Type: proto.MsgMigrateAck, Seq: 2}); err != nil {
-				return fmt.Errorf("sending ack: %w", err)
-			}
-			// The handoff is complete only once the donor confirms the
-			// forward switch (version fence + write tail transferred):
-			// without this confirmation the coordinator must not
-			// publish, or donor-acknowledged writes could be released
-			// away before they reach us.
-			if err := conn.SetReadDeadline(time.Now().Add(migIdleTimeout)); err != nil {
-				return err
-			}
-			confirm, err := r.ReadMsg()
-			if err != nil {
-				return fmt.Errorf("reading ack confirmation: %w", err)
-			}
-			if confirm.Type == proto.MsgErr {
-				return fmt.Errorf("donor failed the forward switch: %s", confirm.Err)
-			}
-			if confirm.Type != proto.MsgPong {
-				return fmt.Errorf("unexpected %v as ack confirmation", confirm.Type)
-			}
-			return nil
-		case proto.MsgErr:
-			return errors.New(fr.Err)
-		default:
-			return fmt.Errorf("unexpected %v in migration stream", fr.Type)
+		if confirm.Type == proto.MsgErr {
+			return fmt.Errorf("donor failed the forward switch: %s", confirm.Err)
 		}
-	}
+		if confirm.Type != proto.MsgPong {
+			return fmt.Errorf("unexpected %v as ack confirmation", confirm.Type)
+		}
+		return nil
+	})
+	s.c.KeysMigratedIn.Add(restored)
+	return err
 }

@@ -3,12 +3,12 @@
 //
 // Under a replication factor R > 1, every key lives on its ring owner
 // (the primary) plus the R−1 next distinct ring successors (the
-// replicas, ring.Replicas). The primary streams each accepted write to
-// its replicas as a MsgRepWrite and withholds the client's ack until
-// every replica answered — so an acknowledged write survives the
-// primary's crash. Replicas apply the pushes under Restore semantics
-// (idempotent, version-guarded) and bank the attached tracker counts;
-// when a failover publishes a ring without the primary, the replica is
+// replicas, ring.Replicas). The primary pushes each accepted write to
+// its replicas (finishWrites, batch.go) and withholds the client's ack
+// until every replica answered — so an acknowledged write survives the
+// primary's crash. Replicas apply the pushes under restore semantics
+// and bank the attached tracker counts (applyRestore, migrate.go); when
+// a failover publishes a ring without the primary, the replica is
 // already the new ring owner of those arcs (a ring successor inherits
 // exactly the arcs of a removed node), its version counter already
 // orders past every version the dead primary acknowledged, and its
@@ -16,9 +16,9 @@
 //
 // Topology changes (joins, drains, failovers) re-derive replica sets;
 // a store that just became a replica of some primary bootstraps the
-// backlog over a dedicated MsgRepSync stream — snapshot chunks plus a
-// final MsgMigrateDone — while new writes flow to it live. A write can
-// land in both the snapshot and the live stream; Restore dedups.
+// backlog with a REPSYNC pull — the range-transfer stream of migrate.go,
+// ending at MIGRATEDONE — while new writes flow to it live. A write can
+// land in both the snapshot and the live pushes; Restore dedups.
 //
 // Liveness is lease-based: each store heartbeats the coordinator once
 // per HeartbeatInterval, carrying its authority version counter (the
@@ -29,9 +29,6 @@ package store
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"net"
 	"time"
 
 	"freshcache/internal/client"
@@ -53,8 +50,8 @@ func (s *Server) replicaTargetsLocked(key string) []string {
 	if s.replicas <= 1 || s.clusterRing == nil {
 		return nil
 	}
-	set := s.clusterRing.Replicas(key, s.replicas)
-	out := make([]string, 0, len(set)-1)
+	set := s.clusterRing.Replicas(key, s.replicas) // a fresh slice: filter it in place
+	out := set[:0]
 	for _, n := range set {
 		if n != s.selfAddr {
 			out = append(out, n)
@@ -63,67 +60,12 @@ func (s *Server) replicaTargetsLocked(key string) []string {
 	return out
 }
 
-// replicateWrite pushes one locally accepted write to every replica and
-// only then releases the prepared ack. Runs on a forward goroutine so
-// the replication round trip never stalls the requests pipelined behind
-// the write. An unreachable replica fails the ack (the write is applied
-// locally but the client must not treat it as durable); the client may
-// retry, which Restore semantics absorb, and the failure detector will
-// drop a dead replica from the ring within a few lease intervals.
-func (s *Server) replicateWrite(resp *proto.Msg, key string, value []byte, reps []string) *proto.Msg {
-	ops := []proto.BatchOp{{Kind: proto.BatchUpdate, Key: key, Value: value, Version: resp.Version}}
-	var freqs []proto.KeyFreq
-	if reads, writes := s.engine.KeyFreq(key); reads+writes > 0 {
-		// Piggyback the primary tracker's current counts so a promoted
-		// replica's update-vs-invalidate policy warm-starts.
-		freqs = []proto.KeyFreq{{Key: key, Reads: reads, Writes: writes}}
-	}
-	// R−1 is 1 in the common deployment; sequential fan-out keeps the
-	// failure semantics simple (first unreachable replica aborts).
-	start := time.Now()
-	for _, rep := range reps {
-		if err := s.peer(rep).RepWrite(ops, freqs); err != nil {
-			return errMsg(resp.Seq, "store: replicating %q to %s: %v", key, rep, err)
-		}
-		s.c.RepWritesOut.Inc()
-	}
-	s.repRTT.Observe(float64(time.Since(start)))
-	return resp
-}
-
-// handleRepWrite applies a primary's replication push. Restore keeps
-// the primary-assigned version and raises the version counter to at
-// least that version — the promotion monotonicity guarantee: once
-// promoted, this store's future Puts order after every write the dead
-// primary acknowledged. Tracker counts are banked, not applied: this
-// store's engine must not push freshness traffic for keys it does not
-// own, but a promotion turns the bank into a warm start.
-func (s *Server) handleRepWrite(m *proto.Msg) *proto.Msg {
-	now := time.Now()
-	for _, op := range m.Ops {
-		if op.Kind != proto.BatchUpdate {
-			continue
-		}
-		s.auth.Restore(op.Key, op.Value, op.Version, now)
-	}
-	if len(m.Freqs) > 0 {
-		s.repMu.Lock()
-		for _, f := range m.Freqs {
-			s.pendingFreqs[f.Key] = f
-		}
-		s.repMu.Unlock()
-	}
-	s.c.RepWritesIn.Inc()
-	return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
-}
-
 // handleRepSync serves a replica's bootstrap pull: stream every key the
 // attached ring makes this store the primary of with the requester in
-// its replica set, then finish with the tracker counts and the version
-// counter. The attached ring is installed first (if newer) so live
-// writes replicate to the requester from here on: a write either lands
-// before the snapshot (streamed) or after the install (pushed live) —
-// both is possible and Restore dedups it.
+// its replica set. The attached ring is installed first (if newer) so
+// live writes replicate to the requester from here on: a write either
+// lands before the snapshot (streamed) or after the install (pushed
+// live) — both is possible and Restore dedups it.
 func (s *Server) handleRepSync(m *proto.Msg, out chan proto.Outgoing) *proto.Msg {
 	newRing, err := parseRingMsg(m)
 	if err != nil {
@@ -141,30 +83,11 @@ func (s *Server) handleRepSync(m *proto.Msg, out chan proto.Outgoing) *proto.Msg
 		return errMsg(m.Seq, "store: repsync parties not in the attached ring")
 	}
 	s.maybeInstallRing(m.Epoch, newRing, self, replicas)
-
-	owns := func(key string) bool {
-		if newRing.OwnerAddr(key) != self {
-			return false
-		}
-		return newRing.IsReplica(replica, key, replicas)
-	}
-	snap := s.auth.SnapshotOwned(owns)
-	moved := make(map[string]struct{}, len(snap))
-	s.streamChunks(out, m.Seq, snap, moved)
-
-	freqs := make([]proto.KeyFreq, 0, len(moved))
-	for k := range moved {
-		if len(freqs) == proto.MaxBatchOps { // warm-start is best effort
-			break
-		}
-		reads, writes := s.engine.KeyFreq(k)
-		if reads+writes > 0 {
-			freqs = append(freqs, proto.KeyFreq{Key: k, Reads: reads, Writes: writes})
-		}
-	}
+	done, _ := s.streamRange(out, m.Seq, func(key string) bool {
+		return newRing.OwnerAddr(key) == self && newRing.IsReplica(replica, key, replicas)
+	}, nil)
 	s.c.RepSyncsServed.Inc()
-	return &proto.Msg{Type: proto.MsgMigrateDone, Seq: m.Seq,
-		Version: s.auth.Version(), Freqs: freqs}
+	return done
 }
 
 // maybeInstallRing installs a ring only when it advances this store's
@@ -224,13 +147,15 @@ func (s *Server) syncReplicas(epoch uint64, newRing *ring.Ring, self string, rep
 	s.repMu.Unlock()
 }
 
-// runRepSync pulls one primary's backlog over a dedicated connection:
-// MsgRepSync, then chunk frames applied under Restore, then the
-// MsgMigrateDone version fence and tracker bank. Retried a few times;
-// a persistent failure is logged and left for the next epoch (or the
-// failure detector, if the primary is truly gone).
+// runRepSync pulls one primary's backlog — a REPSYNC range pull whose
+// entries, version fence and tracker counts are banked for a promotion.
+// Retried a few times; a persistent failure is logged and left for the
+// next epoch (or the failure detector, if the primary is truly gone).
 func (s *Server) runRepSync(primary string, epoch uint64, r *ring.Ring, self string, replicas int) {
 	defer s.wg.Done()
+	req := &proto.Msg{Type: proto.MsgRepSync, Seq: 1, Epoch: epoch,
+		Version: uint64(r.VirtualNodes()), Replicas: uint32(replicas),
+		Key: self, Nodes: r.Nodes(), Donors: []string{primary}}
 	var lastErr error
 	for attempt := 0; attempt < repSyncAttempts; attempt++ {
 		select {
@@ -238,7 +163,7 @@ func (s *Server) runRepSync(primary string, epoch uint64, r *ring.Ring, self str
 			return
 		default:
 		}
-		if lastErr = s.pullRepSync(primary, epoch, r, self, replicas); lastErr == nil {
+		if _, lastErr = s.pullRange(primary, req, true, nil); lastErr == nil {
 			s.c.RepSyncs.Inc()
 			return
 		}
@@ -255,55 +180,6 @@ func (s *Server) runRepSync(primary string, epoch uint64, r *ring.Ring, self str
 		s.repSyncing[primary] = epoch - 1 // let the next install retry
 	}
 	s.repMu.Unlock()
-}
-
-func (s *Server) pullRepSync(primary string, epoch uint64, r *ring.Ring, self string, replicas int) error {
-	conn, err := net.DialTimeout("tcp", primary, migDialTimeout)
-	if err != nil {
-		return fmt.Errorf("dialing primary: %w", err)
-	}
-	defer conn.Close()
-	w, rd := proto.NewWriter(conn), proto.NewReader(conn)
-	req := &proto.Msg{Type: proto.MsgRepSync, Seq: 1, Epoch: epoch,
-		Version: uint64(r.VirtualNodes()), Replicas: uint32(replicas),
-		Key: self, Nodes: r.Nodes(), Donors: []string{primary}}
-	if err := w.WriteMsg(req); err != nil {
-		return fmt.Errorf("sending repsync: %w", err)
-	}
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(migIdleTimeout)); err != nil {
-			return err
-		}
-		fr, err := rd.ReadMsg()
-		if err != nil {
-			return fmt.Errorf("reading replica stream: %w", err)
-		}
-		switch fr.Type {
-		case proto.MsgMigrateChunk:
-			now := time.Now()
-			for _, op := range fr.Ops {
-				if op.Kind == proto.BatchUpdate {
-					s.auth.Restore(op.Key, op.Value, op.Version, now)
-				}
-			}
-		case proto.MsgMigrateDone:
-			// Fence: a promotion after this sync assigns versions past
-			// everything the primary has acknowledged so far.
-			s.auth.BumpVersion(fr.Version)
-			if len(fr.Freqs) > 0 {
-				s.repMu.Lock()
-				for _, f := range fr.Freqs {
-					s.pendingFreqs[f.Key] = f
-				}
-				s.repMu.Unlock()
-			}
-			return nil
-		case proto.MsgErr:
-			return errors.New(fr.Err)
-		default:
-			return fmt.Errorf("unexpected %v in replica stream", fr.Type)
-		}
-	}
 }
 
 // heartbeatLoop renews this store's liveness lease at the coordinator

@@ -166,8 +166,7 @@ type Server struct {
 	clusterRing  *ring.Ring
 	replicas     int // cluster replication factor R (<=1: no replication)
 	outMigs      []*outMigration
-	fdMu         sync.Mutex // guards forwardDirty (written on the data path)
-	forwardDirty map[string]struct{}
+	fwdDirty     keySet
 	peerMu       sync.Mutex // guards peers
 	peers        map[string]*client.Client
 
@@ -241,7 +240,6 @@ func New(cfg Config) *Server {
 		engine:       core.NewEngine(cfg.Engine),
 		spanName:     "store:" + cfg.ShardID,
 		subs:         make(map[*subscriber]struct{}),
-		forwardDirty: make(map[string]struct{}),
 		peers:        make(map[string]*client.Client),
 		pendingFreqs: make(map[string]proto.KeyFreq),
 		repSyncing:   make(map[string]uint64),
@@ -283,7 +281,7 @@ func (s *Server) buildRegistry() *stats.Registry {
 	counter("forwarded_reads_total", "GETs/FILLs forwarded to their new ring owner.", "forwarded_reads", &s.c.ForwardedReads)
 	counter("keys_released_total", "Keys dropped after losing ring ownership.", "keys_released", &s.c.KeysReleased)
 	counter("rep_writes_out_total", "Replication writes pushed to replicas.", "rep_writes_out", &s.c.RepWritesOut)
-	counter("rep_writes_in_total", "Replication writes applied from primaries.", "rep_writes_in", &s.c.RepWritesIn)
+	counter("rep_writes_in_total", "Restore pushes applied: replication writes, handoff fences and write tails.", "rep_writes_in", &s.c.RepWritesIn)
 	counter("rep_syncs_total", "Replica bootstrap syncs run.", "rep_syncs", &s.c.RepSyncs)
 	counter("rep_syncs_served_total", "Replica bootstrap syncs served as primary.", "rep_syncs_served", &s.c.RepSyncsServed)
 	counter("heartbeats_sent_total", "Coordinator liveness heartbeats sent.", "heartbeats_sent", &s.c.HeartbeatsSent)
@@ -484,7 +482,7 @@ func (s *Server) flusher(ctx context.Context) {
 // deterministic tests.
 func (s *Server) flushOnce() {
 	decisions := s.engine.Flush()
-	forwarded := s.takeForwardDirty()
+	forwarded := s.fwdDirty.take()
 	ops := make([]proto.BatchOp, 0, len(decisions)+len(forwarded))
 	// Keys whose writes this store forwarded to their new owner during
 	// a handoff: the local engine never observed those writes, but the
@@ -689,57 +687,35 @@ func (s *Server) finishTrace(tr *proto.SpanRec, resp *proto.Msg) *proto.Msg {
 
 func (s *Server) dispatch(m *proto.Msg, conn net.Conn, cs *connState, out chan proto.Outgoing, tr *proto.SpanRec) *proto.Msg {
 	switch m.Type {
-	case proto.MsgGet:
-		s.c.Gets.Inc()
-		if target := s.forwardTarget(m.Key); target != "" {
+	case proto.MsgGet, proto.MsgFill:
+		fill := m.Type == proto.MsgFill
+		if fill {
+			s.c.Fills.Inc()
+		} else {
+			s.c.Gets.Inc()
+		}
+		s.clMu.RLock()
+		target, _ := s.placeLocked(m.Key)
+		s.clMu.RUnlock()
+		if target != "" {
 			seq, key := m.Seq, m.Key
 			return s.goForward(cs, out, tr, func() *proto.Msg {
-				return s.forwardGet(seq, key, target, false)
+				return s.forwardGet(seq, key, target, fill)
 			})
 		}
-		s.engine.ObserveRead(m.Key)
-		return s.getResp(m)
-	case proto.MsgFill:
-		s.c.Fills.Inc()
-		if target := s.forwardTarget(m.Key); target != "" {
-			seq, key := m.Seq, m.Key
-			return s.goForward(cs, out, tr, func() *proto.Msg {
-				return s.forwardGet(seq, key, target, true)
-			})
-		}
-		// A fill means the cache is re-fetching: its copy becomes fresh,
-		// so future writes need a fresh invalidate (§3.3's tracked
-		// invalidation state).
-		s.engine.NoteFilled(m.Key)
+		s.observeRead(m.Key, fill)
 		return s.getResp(m)
 	case proto.MsgMGet, proto.MsgMFill:
 		s.c.MGetKeys.Add(uint64(len(m.Keys)))
 		s.batchSize.Observe(float64(len(m.Keys)))
 		return s.dispatchMGet(m, cs, out, tr, m.Type == proto.MsgMFill)
+	case proto.MsgPut:
+		s.c.Puts.Inc()
+		return s.dispatchWrites(m, cs, out, tr)
 	case proto.MsgMPut:
 		s.c.MPutKeys.Add(uint64(len(m.Ops)))
 		s.batchSize.Observe(float64(len(m.Ops)))
-		return s.dispatchMPut(m, cs, out, tr)
-	case proto.MsgPut:
-		s.c.Puts.Inc()
-		resp, target, reps := s.routePut(m)
-		if resp != nil && len(reps) == 0 {
-			return resp
-		}
-		// The value aliases the reader's buffer; both the forward and
-		// the replication fan-out outlive this dispatch, so copy it.
-		seq, key, value := m.Seq, m.Key, append([]byte(nil), m.Value...)
-		if resp != nil {
-			// Accepted locally; the ack is withheld until every replica
-			// holds the write, so an acknowledged write survives this
-			// store's crash.
-			return s.goForward(cs, out, tr, func() *proto.Msg {
-				return s.replicateWrite(resp, key, value, reps)
-			})
-		}
-		return s.goForward(cs, out, tr, func() *proto.Msg {
-			return s.forwardPut(seq, key, value, target)
-		})
+		return s.dispatchWrites(m, cs, out, tr)
 	case proto.MsgSubscribe:
 		ns := &subscriber{name: m.Key, out: out, conn: conn}
 		s.mu.Lock()
@@ -757,75 +733,55 @@ func (s *Server) dispatch(m *proto.Msg, conn net.Conn, cs *connState, out chan p
 		return &proto.Msg{Type: proto.MsgSubResp, Seq: m.Seq, Epoch: epoch, Key: s.cfg.ShardID}
 	case proto.MsgReadReport:
 		s.c.ReadReports.Inc()
+		var stray map[string][]proto.ReadReport
 		s.clMu.RLock()
-		clustered := s.clusterRing != nil || len(s.outMigs) > 0
-		s.clMu.RUnlock()
-		var stray []proto.ReadReport
 		for _, rp := range m.Reports {
-			n := rp.Count
-			if n > s.cfg.MaxReportCount {
-				n = s.cfg.MaxReportCount
-			}
-			if clustered {
-				if target := s.forwardTarget(rp.Key); target != "" {
-					stray = append(stray, proto.ReadReport{Key: rp.Key, Count: n})
-					continue
+			n := min(rp.Count, s.cfg.MaxReportCount)
+			if target, _ := s.placeLocked(rp.Key); target != "" {
+				if stray == nil {
+					stray = make(map[string][]proto.ReadReport)
 				}
+				stray[target] = append(stray[target], proto.ReadReport{Key: rp.Key, Count: n})
+				continue
 			}
 			s.engine.ObserveReadN(rp.Key, n)
 		}
-		if len(stray) > 0 {
-			// Reads reported under a stale ring: relay them to the
-			// owners so their policy engines keep seeing the full
-			// stream for the keys they now own. Best effort and
-			// fire-and-forget — read statistics are advisory and must
-			// not stall the requests pipelined behind this report.
+		s.clMu.RUnlock()
+		if stray != nil {
+			// Reads reported under a stale ring: relay them to the stores
+			// that serve those keys so their policy engines keep seeing
+			// the full stream. Best effort and fire-and-forget — read
+			// statistics are advisory and must not stall the requests
+			// pipelined behind this report.
 			go s.forwardReports(stray)
 		}
 		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
 	case proto.MsgPing:
 		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
 	case proto.MsgStats:
-		return &proto.Msg{Type: proto.MsgStatsResp, Seq: m.Seq, Stats: s.statsMap()}
+		// The registry's legacy wire-map view; the same registry backs
+		// /metrics, so both surfaces always agree.
+		return &proto.Msg{Type: proto.MsgStatsResp, Seq: m.Seq, Stats: s.reg.StatsMap()}
 	case proto.MsgAdopt:
 		return s.handleAdopt(m)
 	case proto.MsgMigrate:
 		return s.handleMigrate(m, cs, out)
 	case proto.MsgMigrateAck:
-		resp := s.handleMigrateAck(cs)
-		resp.Seq = m.Seq
-		return resp
-	case proto.MsgMigrateChunk:
-		// Out-of-stream restore push: a donor transferring its final
-		// write tail after the forward switch. Restore semantics are
-		// idempotent and never clobber a newer local write, so this
-		// may interleave freely with freshly forwarded traffic.
-		now := time.Now()
-		for _, op := range m.Ops {
-			if op.Kind == proto.BatchUpdate {
-				s.auth.Restore(op.Key, op.Value, op.Version, now)
-			}
-		}
-		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
-	case proto.MsgMigrateDone:
-		// Version fence: a donor about to forward writes here raises
-		// our version counter past its own, so every version we assign
-		// from now on orders after anything a cache saw from it.
-		s.auth.BumpVersion(m.Version)
-		for _, f := range m.Freqs {
-			s.engine.WarmStart(f.Key, f.Reads, f.Writes)
-		}
-		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
+		return s.handleMigrateAck(m.Seq, cs)
 	case proto.MsgRelease:
 		return s.handleRelease(m)
 	case proto.MsgRepSync:
 		return s.handleRepSync(m, out)
 	case proto.MsgRepWrite:
-		return s.handleRepWrite(m)
+		// The one restore push: a primary's accepted writes, a donor's
+		// version fence or write tail, a failover fence. Tracker counts
+		// that ride along are banked, not applied.
+		s.applyRestore(m.Ops, m.Freqs, m.Version, true)
+		s.c.RepWritesIn.Inc()
+		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
 	default:
 		s.c.MalformedFrames.Inc()
-		return &proto.Msg{Type: proto.MsgErr, Seq: m.Seq,
-			Err: fmt.Sprintf("store: unexpected message %v", m.Type)}
+		return errMsg(m.Seq, "store: unexpected message %v", m.Type)
 	}
 }
 
@@ -854,10 +810,4 @@ func (s *Server) observeServedAge(written time.Time) {
 	}
 	age := time.Since(written)
 	s.servedAge.Observe(float64(age) / float64(s.cfg.T) * stats.AgeRatioScale)
-}
-
-// statsMap renders the registry's legacy wire-map view; the same
-// registry backs /metrics, so both surfaces always agree.
-func (s *Server) statsMap() map[string]uint64 {
-	return s.reg.StatsMap()
 }

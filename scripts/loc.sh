@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Non-test Go lines per package directory (wc -l), and their total — the
-# size figure ROADMAP aim 2 tracks. bench/ (its own module, frozen for
+# Non-test Go lines per package directory (wc -l), their total, and the
+# wire message-type count (entries of proto.msgNames) — the two size
+# figures ROADMAP aim 2 tracks. bench/ (its own module, frozen for
 # perf PRs), .bench_build/ and testdata/ are not counted. Run it from
 # any checkout: scripts/loc.sh [root] (default: this script's repo).
 set -eu
@@ -19,3 +20,6 @@ find . -name '*.go' ! -name '*_test.go' \
          close("sort -k2")
          printf "%7d  total\n", total
        }'
+# One `MsgFoo: "FOO"` pair per wire message type, several to a line.
+sed -n '/^var msgNames = /,/^}/p' internal/proto/proto.go | grep -o 'Msg[A-Za-z]*: "' |
+  awk 'END { printf "%7d  wire message types\n", NR }'
