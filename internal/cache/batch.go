@@ -37,11 +37,10 @@ func (s *Server) mgetLookup(m *proto.Msg) (*proto.Msg, batchMisses) {
 	keys := m.Keys
 	resp := proto.GetMsg()
 	resp.Type, resp.Seq = proto.MsgMGetResp, m.Seq
-	ops := resp.Ops[:0]
-	for _, k := range keys {
-		ops = append(ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: k})
+	resp.Ops = make([]proto.BatchOp, len(keys))
+	for i, k := range keys {
+		resp.Ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: k}
 	}
-	resp.Ops = ops
 
 	now := time.Now()
 	s.c.Gets.Add(uint64(len(keys)))
@@ -184,14 +183,13 @@ func (s *Server) mputResp(seq uint64, keys []string, vals [][]byte, tr *proto.Sp
 	}
 	resp := proto.GetMsg()
 	resp.Type, resp.Seq = proto.MsgMPutResp, seq
-	ops := resp.Ops[:0]
+	resp.Ops = make([]proto.BatchOp, len(keys))
 	for i, r := range results {
 		if r.Err != nil {
-			ops = append(ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: keys[i]})
+			resp.Ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: keys[i]}
 			continue
 		}
-		ops = append(ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Version: r.Version})
+		resp.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Version: r.Version}
 	}
-	resp.Ops = ops
 	return resp
 }

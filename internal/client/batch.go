@@ -65,10 +65,42 @@ func (c *Client) mget(t proto.MsgType, keys []string, traceID uint64) ([]MGetRes
 	return res, tr, err
 }
 
+// MGetAsync is MGet without the wait — GetAsync's contract, cold-slot
+// fallback included, for a batch: done is called exactly once with the
+// lent response (DecodeMGet reads it) or the transport error. keys must
+// stay untouched until then.
+func (c *Client) MGetAsync(keys []string, traceID uint64, done Completion) {
+	req := newReq(proto.MsgMGet)
+	req.Keys = keys
+	c.startAsync(req, traceID, done)
+}
+
 // mgetResults consumes (and releases) resp, mapping its op list back
 // onto the request's key order.
 func mgetResults(resp *proto.Msg, keys []string) ([]MGetResult, error) {
 	defer proto.PutMsg(resp)
+	ops, err := DecodeMGet(resp, keys)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]MGetResult, len(keys))
+	for i, op := range ops {
+		if op.Kind == proto.BatchUpdate {
+			out[i] = MGetResult{Value: op.Value, Version: op.Version, Found: true}
+		}
+	}
+	return out, nil
+}
+
+// DecodeMGet checks an MGET's response — the one lent to an MGetAsync
+// completion, say — against the keys requested, exactly as MGet would,
+// request-level server errors included, and returns its ops: one per
+// key in request order, BatchUpdate for a found key. They are borrowed
+// from resp, values and all.
+func DecodeMGet(resp *proto.Msg, keys []string) ([]proto.BatchOp, error) {
+	if err := serverErr(resp); err != nil {
+		return nil, err
+	}
 	if resp.Type != proto.MsgMGetResp {
 		return nil, fmt.Errorf("client: unexpected response %v to MGET", resp.Type)
 	}
@@ -76,17 +108,13 @@ func mgetResults(resp *proto.Msg, keys []string) ([]MGetResult, error) {
 		return nil, fmt.Errorf("client: MGET answered %d keys for %d requested",
 			len(resp.Ops), len(keys))
 	}
-	out := make([]MGetResult, len(keys))
-	for i, op := range resp.Ops {
-		if op.Key != keys[i] {
+	for i := range resp.Ops {
+		if resp.Ops[i].Key != keys[i] {
 			return nil, fmt.Errorf("client: MGET response out of order: key %q at slot %d (want %q)",
-				op.Key, i, keys[i])
-		}
-		if op.Kind == proto.BatchUpdate {
-			out[i] = MGetResult{Value: op.Value, Version: op.Version, Found: true}
+				resp.Ops[i].Key, i, keys[i])
 		}
 	}
-	return out, nil
+	return resp.Ops, nil
 }
 
 // MPut writes values[i] under keys[i] for every i in one frame and
@@ -112,11 +140,10 @@ func (c *Client) mput(keys []string, values [][]byte, traceID uint64) ([]MPutRes
 		return nil, nil, nil
 	}
 	req := newReq(proto.MsgMPut)
-	ops := req.Ops[:0]
+	req.Ops = make([]proto.BatchOp, len(keys))
 	for i, k := range keys {
-		ops = append(ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Value: values[i]})
+		req.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Value: values[i]}
 	}
-	req.Ops = ops
 	if traceID != 0 {
 		req.Trace = &proto.Trace{ID: traceID}
 	}

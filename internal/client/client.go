@@ -9,16 +9,20 @@
 // writes. Concurrent calls share connections instead of queueing behind
 // them, and request timeouts are per-request deadlines swept by a
 // janitor, so one slow request does not poison a shared connection.
-// Blocking calls park only the caller's own goroutine; GetAsync parks
-// none — a proxy relays the response from inside the completion.
+// Blocking calls park only the caller's own goroutine; GetAsync and
+// MGetAsync park none — a proxy relays (or, for a scattered batch,
+// gathers) the response from inside the completion.
 //
-// Every verb has one body taking a trace ID, where 0 means untraced: no
-// proto.Trace is allocated or sent and the returned trace is nil. The
-// exported Foo/FooTraced pairs are one-line wrappers over it.
+// Every verb, blocking or asynchronous, has one body taking a trace ID,
+// where 0 means untraced: no proto.Trace is allocated or sent and the
+// returned trace is nil. The exported Foo/FooTraced pairs are one-line
+// wrappers over it.
 //
 // Blocking calls copy responses out of the framing buffers, so returned
 // values remain valid after the next call. A Completion is instead lent
-// the response in place (see Completion for the rule).
+// the response in place (see Completion for the rule); DecodeGet and
+// DecodeMGet read it there, as borrowed views, exactly as the blocking
+// call would have.
 package client
 
 import (
@@ -173,15 +177,23 @@ func (c *Client) get(t proto.MsgType, key string, traceID uint64) ([]byte, uint6
 
 // GetAsync starts a GET for key and returns without waiting for the
 // answer: done is called exactly once with the response — lent, see
-// Completion; DecodeGet reads it — or with the transport error. A
-// non-nil trace marks the request as traced. On a live connection
-// nothing is spawned and done runs on that connection's reader; when the
-// target must first be (re)dialed, the ordinary blocking exchange runs
-// on a goroutine of its own and lends its response the same way, so the
-// caller never waits out a dial.
-func (c *Client) GetAsync(key string, trace *proto.Trace, done Completion) {
+// Completion; DecodeGet reads it — or with the transport error. traceID
+// rides on the wire like every other verb's (0 = untraced). On a live
+// connection nothing is spawned and done runs on that connection's
+// reader; when the target must first be (re)dialed, the ordinary blocking
+// exchange runs on a goroutine of its own and lends its response the same
+// way, so the caller never waits out a dial.
+func (c *Client) GetAsync(key string, traceID uint64, done Completion) {
 	req := newReq(proto.MsgGet)
-	req.Key, req.Trace = key, trace
+	req.Key = key
+	c.startAsync(req, traceID, done)
+}
+
+// startAsync is the one body of the asynchronous verbs. It owns req.
+func (c *Client) startAsync(req *proto.Msg, traceID uint64, done Completion) {
+	if traceID != 0 {
+		req.Trace = &proto.Trace{ID: traceID}
+	}
 	if c.tr.start(req, done) {
 		proto.PutMsg(req)
 		return

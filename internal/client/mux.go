@@ -27,7 +27,7 @@ import (
 // frame. A blocking call is that primitive with a completion that copies
 // the response and sends it on a channel (muxConn.do); a proxy relays
 // from inside the completion and never parks a goroutine on the request
-// (Client.GetAsync).
+// (Client.GetAsync, Client.MGetAsync).
 //
 // Timeouts are deadline sweeps, not per-request timers: each pending
 // request records its deadline and a per-connection janitor expires

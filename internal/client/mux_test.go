@@ -552,7 +552,7 @@ func TestCompletionFiresExactlyOnce(t *testing.T) {
 			}
 
 			follow := newRecorder("follow-up", nil)
-			first := newRecorder(tc.key, func() { c.GetAsync("follow-up", nil, follow) })
+			first := newRecorder(tc.key, func() { c.GetAsync("follow-up", 0, follow) })
 			req := newReq(proto.MsgGet)
 			req.Key = tc.key
 			if !c.tr.start(req, first) {
@@ -603,13 +603,13 @@ func TestGetAsyncColdAndServerErrors(t *testing.T) {
 	defer c.Close()
 
 	cold := newRecorder("cold", nil)
-	c.GetAsync("cold", nil, cold)
+	c.GetAsync("cold", 0, cold)
 	if rec := cold.wait(t); rec.err != nil || rec.value != "cold" {
 		t.Fatalf("cold GetAsync got %q, %v", rec.value, rec.err)
 	}
 	for key, want := range map[string]error{"missing": ErrNotFound, "refused": ErrServer} {
 		r := newRecorder(key, nil)
-		c.GetAsync(key, nil, r)
+		c.GetAsync(key, 0, r)
 		if rec := r.wait(t); !errors.Is(rec.err, want) {
 			t.Errorf("GetAsync(%q) decoded to %v, want %v", key, rec.err, want)
 		}
@@ -620,8 +620,118 @@ func TestGetAsyncColdAndServerErrors(t *testing.T) {
 	dead := New(deadAddr(t), Options{MaxConns: 1, DialTimeout: time.Second})
 	defer dead.Close()
 	r := newRecorder("k", nil)
-	dead.GetAsync("k", nil, r)
+	dead.GetAsync("k", 0, r)
 	if rec := r.wait(t); rec.err == nil {
 		t.Error("GetAsync to a dead address completed without an error")
+	}
+}
+
+// batchRecorder is recorder's MGET twin: it decodes the lent batch in
+// place against the keys it asked for and keeps copies.
+type batchRecorder struct {
+	keys []string
+	got  chan batchRecorded // buffered: a second call never blocks
+}
+
+type batchRecorded struct {
+	values []string // "" for a key not found
+	err    error
+}
+
+func newBatchRecorder(keys ...string) *batchRecorder {
+	return &batchRecorder{keys: keys, got: make(chan batchRecorded, 4)}
+}
+
+func (r *batchRecorder) Complete(resp *proto.Msg, err error) {
+	rec := batchRecorded{err: err}
+	if err == nil {
+		var ops []proto.BatchOp
+		ops, rec.err = DecodeMGet(resp, r.keys)
+		for _, op := range ops {
+			rec.values = append(rec.values, string(op.Value)) // copied: resp is only lent
+		}
+	}
+	r.got <- rec
+}
+
+func (r *batchRecorder) wait(t *testing.T) batchRecorded {
+	t.Helper()
+	select {
+	case rec := <-r.got:
+		return rec
+	case <-time.After(5 * time.Second):
+		t.Fatalf("completion for MGET %v never fired", r.keys)
+		return batchRecorded{}
+	}
+}
+
+// TestMGetAsyncColdAndServerErrors is TestGetAsyncColdAndServerErrors
+// for the batch verb: the cold-slot fallback lends its answer the same
+// way, a traced request comes back traced, and DecodeMGet turns every
+// malformed or refused answer into the error MGet returns.
+func TestMGetAsyncColdAndServerErrors(t *testing.T) {
+	var sawTrace atomic.Uint64
+	s := startMuxTestServer(t, func(m *proto.Msg) *proto.Msg {
+		if m.Type != proto.MsgMGet {
+			return echoHandler(m)
+		}
+		if m.Trace != nil {
+			sawTrace.Store(m.Trace.ID)
+		}
+		resp := &proto.Msg{Type: proto.MsgMGetResp, Trace: m.Trace}
+		for _, k := range m.Keys {
+			switch k {
+			case "refused":
+				return &proto.Msg{Type: proto.MsgErr, Err: "no"}
+			case "short":
+				return resp // answers fewer keys than asked
+			case "swapped":
+				k = "other"
+			case "missing":
+				resp.Ops = append(resp.Ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: k})
+				continue
+			}
+			resp.Ops = append(resp.Ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Version: 1, Value: []byte(k)})
+		}
+		return resp
+	}, 0)
+	c := New(s.addr(), Options{MaxConns: 1})
+	defer c.Close()
+
+	cold := newBatchRecorder("a", "missing", "b", "a")
+	c.MGetAsync(cold.keys, 0x7ace, cold)
+	rec := cold.wait(t)
+	if rec.err != nil || strings.Join(rec.values, ",") != "a,,b,a" {
+		t.Fatalf("cold MGetAsync got %q, %v", rec.values, rec.err)
+	}
+	if sawTrace.Load() != 0x7ace {
+		t.Errorf("server saw trace ID %#x, want 0x7ace", sawTrace.Load())
+	}
+	warm := newBatchRecorder("x", "y")
+	c.MGetAsync(warm.keys, 0, warm)
+	if rec := warm.wait(t); rec.err != nil || strings.Join(rec.values, ",") != "x,y" {
+		t.Fatalf("warm MGetAsync got %q, %v", rec.values, rec.err)
+	}
+	for key, want := range map[string]string{
+		"refused": ErrServer.Error(),
+		"short":   "answered 1 keys for 2 requested",
+		"swapped": "out of order",
+	} {
+		r := newBatchRecorder("a", key)
+		c.MGetAsync(r.keys, 0, r)
+		rec := r.wait(t)
+		if rec.err == nil || !strings.Contains(rec.err.Error(), want) {
+			t.Errorf("MGetAsync(a, %s) decoded to %v, want %q", key, rec.err, want)
+		}
+		if _, err := c.MGet(r.keys); err == nil || err.Error() != rec.err.Error() {
+			t.Errorf("MGet(a, %s) = %v, MGetAsync decoded to %v", key, err, rec.err)
+		}
+	}
+	dead := New(deadAddr(t), Options{MaxConns: 1, DialTimeout: time.Second})
+	defer dead.Close()
+	r := newBatchRecorder("k")
+	dead.MGetAsync(r.keys, 0, r)
+	if rec := r.wait(t); rec.err == nil {
+		t.Error("MGetAsync to a dead address completed without an error")
 	}
 }

@@ -2,7 +2,7 @@ package lb
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"freshcache/internal/client"
@@ -11,78 +11,158 @@ import (
 
 // Multi-key routing. An MGET is split by cache affinity in one ring
 // pass — each key goes to the same cache its single-key reads hash to,
-// so batching never dilutes per-cache hit ratios — fanned out
-// concurrently, and reassembled in request order. An MPUT goes through
-// the sharded store client, which scatters by authority shard the same
-// way. Traced batches record one sibling hop per contacted upstream,
-// so the client's hop tree shows the fan-out.
+// so batching never dilutes per-cache hit ratios — scattered from the
+// read loop, and gathered in request order by the sub-batches'
+// completions. An MPUT goes through the sharded store client, which
+// scatters by authority shard the same way. Traced batches record one
+// sibling hop per contacted upstream, so the client's hop tree shows the
+// fan-out.
 
-// cachePart is one cache's slice of a scattered batch.
-type cachePart struct {
-	keys []string
-	idx  []int
+// gather is one MGET in flight to the caches: the scratch its sub-batches
+// are cut from and the answer they assemble. Pooled per Server (parts is
+// as long as its cache ring), so a steady batch size allocates nothing
+// here.
+//
+// Ownership: the read loop fills everything in, then starts the parts.
+// From there each part's completion writes only its own gatherPart and
+// the ops slots its idx names — disjoint between parts, so two upstream
+// readers never share a write — and whoever brings left to zero is the
+// last to have touched the gather: it alone reads the whole of it,
+// answers, and recycles it.
+type gather struct {
+	cc    *clientConn
+	seq   uint64 // the client's sequence number
+	tr    *proto.SpanRec
+	start time.Time
+	// ops is the answer, one op per requested key in request order. It
+	// starts out all BatchInvalidate — a clean not-found.
+	ops   []proto.BatchOp
+	parts []gatherPart // one per cache, in cache-ring order
+	// left counts the parts in flight, plus one held by scatterMGet until
+	// it has started them all.
+	left atomic.Int32
 }
 
-// routeMGet proxies a batched read to the affine caches. A sub-batch
-// failure fails the whole request (like a single-key proxied read,
-// errors are never downgraded to not-found); per-key not-founds answer
-// as BatchInvalidate ops.
-func (s *Server) routeMGet(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
-	keys := m.Keys
-	start := time.Now()
-	parts := make([]cachePart, len(s.caches))
-	for i, k := range keys {
-		ci := s.cacheRing.Owner(k)
-		parts[ci].keys = append(parts[ci].keys, k)
-		parts[ci].idx = append(parts[ci].idx, i)
-	}
-	results := make([]client.MGetResult, len(keys))
-	traces := make([]*proto.Trace, len(s.caches))
-	errs := make([]error, len(s.caches))
-	run := func(ci int) {
-		p := &parts[ci]
-		res, tct, err := s.caches[ci].MGetTraced(p.keys, tr.ID())
-		traces[ci] = tct
-		if err != nil {
-			errs[ci] = err
-			return
-		}
-		for j, i := range p.idx {
-			results[i] = res[j]
-		}
-	}
-	fanOutParts(parts, run)
-	s.readRTT.Observe(float64(time.Since(start)))
+// gatherPart is one cache's sub-batch and, as its client.Completion, what
+// copies that cache's answer into the gather.
+type gatherPart struct {
+	g     *gather // fixed: parts live and die with their gather
+	keys  []string
+	idx   []int  // keys[j] is the request's key number idx[j]
+	buf   []byte // backs the values this part found
+	trace *proto.Trace
+	err   error
+}
 
-	resp := proto.GetMsg()
-	for ci, tct := range traces {
-		tr.Add(tct)
-		if errs[ci] != nil {
-			s.c.Errors.Inc()
-			resp.Type, resp.Err = proto.MsgErr,
-				fmt.Sprintf("lb: batch read via cache %s: %v", s.cacheRing.Node(ci), errs[ci])
-			return resp
+// Past these a recycled gather would pin a one-off giant batch's scratch
+// in the pool.
+const (
+	maxPooledGatherKeys  = 4096
+	maxPooledGatherBytes = 1 << 20
+)
+
+// scatterMGet splits an MGET by cache affinity and starts each cache's
+// sub-batch; the parts' completions assemble and send the answer.
+func (s *Server) scatterMGet(cc *clientConn, m *proto.Msg, tr *proto.SpanRec) {
+	n := len(m.Keys)
+	s.c.Reads.Add(uint64(n))
+	s.c.MGetKeys.Add(uint64(n))
+	s.batchSize.Observe(float64(n))
+
+	g, _ := s.gathers.Get().(*gather)
+	if g == nil {
+		g = &gather{parts: make([]gatherPart, len(s.caches))}
+		for ci := range g.parts {
+			g.parts[ci].g = g
 		}
 	}
-	resp.Type = proto.MsgMGetResp
-	ops := resp.Ops[:0]
-	for i, k := range keys {
-		r := results[i]
-		if r.Err != nil {
-			s.c.Errors.Inc()
-			proto.PutMsg(resp)
-			eresp := proto.GetMsg()
-			eresp.Type, eresp.Err = proto.MsgErr, fmt.Sprintf("lb: batch read of %q: %v", k, r.Err)
-			return eresp
-		}
-		if r.Found {
-			ops = append(ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Value: r.Value, Version: r.Version})
-		} else {
-			ops = append(ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: k})
+	g.cc, g.seq, g.tr, g.start = cc, m.Seq, tr, time.Now()
+	if cap(g.ops) < n {
+		g.ops = make([]proto.BatchOp, n)
+	}
+	g.ops = g.ops[:n]
+	for i, k := range m.Keys {
+		g.ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: k}
+		p := &g.parts[s.cacheRing.Owner(k)]
+		p.keys = append(p.keys, k)
+		p.idx = append(p.idx, i)
+	}
+	g.left.Store(1)
+	for ci := range g.parts {
+		if p := &g.parts[ci]; len(p.keys) > 0 {
+			g.left.Add(1)
+			s.caches[ci].MGetAsync(p.keys, tr.ID(), p)
 		}
 	}
-	resp.Ops = ops
-	return resp
+	g.partDone()
+}
+
+// Complete copies one cache's answer into the gather's slots: the found
+// keys' values into this part's own buffer, the rest left not-found.
+func (p *gatherPart) Complete(resp *proto.Msg, err error) {
+	if err == nil {
+		p.trace = resp.Trace // allocated per frame, not part of the lent buffers
+		var ops []proto.BatchOp
+		if ops, err = client.DecodeMGet(resp, p.keys); err == nil {
+			total := 0
+			for j := range ops {
+				total += len(ops[j].Value)
+			}
+			buf := p.buf[:0]
+			if cap(buf) < total {
+				buf = make([]byte, 0, total)
+			}
+			for j, i := range p.idx {
+				if ops[j].Kind == proto.BatchUpdate {
+					at := len(buf)
+					buf = append(buf, ops[j].Value...)
+					slot := &p.g.ops[i]
+					slot.Kind, slot.Version, slot.Value = proto.BatchUpdate, ops[j].Version, buf[at:len(buf):len(buf)]
+				}
+			}
+			p.buf = buf
+		}
+	}
+	p.err = err
+	p.g.partDone()
+}
+
+// partDone retires one count of left; the last one out answers the MGET.
+// A sub-batch failure fails the whole request (like a single-key proxied
+// read, errors are never downgraded to not-found); per-key not-founds
+// answer as BatchInvalidate ops.
+func (g *gather) partDone() {
+	if g.left.Add(-1) != 0 {
+		return
+	}
+	s := g.cc.s
+	s.readRTT.Observe(float64(time.Since(g.start)))
+	down := proto.Msg{Type: proto.MsgMGetResp, Seq: g.seq, Ops: g.ops}
+	for ci := range g.parts {
+		p := &g.parts[ci]
+		if len(p.keys) == 0 {
+			continue
+		}
+		g.tr.Add(p.trace)
+		if p.err != nil {
+			s.c.Errors.Inc()
+			down = proto.Msg{Type: proto.MsgErr, Seq: g.seq,
+				Err: fmt.Sprintf("lb: batch read via cache %s: %v", s.cacheRing.Node(ci), p.err)}
+			break
+		}
+	}
+	g.cc.answer(g.tr, &down)
+
+	pooled := cap(g.ops) <= maxPooledGatherKeys
+	for ci := range g.parts {
+		p := &g.parts[ci]
+		pooled = pooled && cap(p.buf) <= maxPooledGatherBytes
+		p.keys, p.idx, p.trace, p.err = p.keys[:0], p.idx[:0], nil, nil
+	}
+	g.cc, g.tr = nil, nil
+	if pooled {
+		s.gathers.Put(g)
+	}
 }
 
 // routeMPut proxies a batched write through the sharded store client
@@ -92,6 +172,9 @@ func (s *Server) routeMGet(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 // error — while the rest of the batch acknowledges with its versions.
 func (s *Server) routeMPut(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 	n := len(m.Ops)
+	s.c.Writes.Add(uint64(n))
+	s.c.MPutKeys.Add(uint64(n))
+	s.batchSize.Observe(float64(n))
 	keys := make([]string, n)
 	vals := make([][]byte, n)
 	for i := range m.Ops {
@@ -111,46 +194,14 @@ func (s *Server) routeMPut(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 
 	resp := proto.GetMsg()
 	resp.Type = proto.MsgMPutResp
-	ops := resp.Ops[:0]
+	resp.Ops = make([]proto.BatchOp, n)
 	for i, r := range results {
 		if r.Err != nil {
 			s.c.Errors.Inc()
-			ops = append(ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: keys[i]})
+			resp.Ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: keys[i]}
 			continue
 		}
-		ops = append(ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Version: r.Version})
+		resp.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Version: r.Version}
 	}
-	resp.Ops = ops
 	return resp
-}
-
-// fanOutParts runs run(ci) for every non-empty part — inline when only
-// one cache is involved, concurrently otherwise.
-func fanOutParts(parts []cachePart, run func(ci int)) {
-	active, last := 0, -1
-	for ci := range parts {
-		if len(parts[ci].keys) > 0 {
-			active++
-			last = ci
-		}
-	}
-	if active == 0 {
-		return
-	}
-	if active == 1 {
-		run(last)
-		return
-	}
-	var wg sync.WaitGroup
-	for ci := range parts {
-		if len(parts[ci].keys) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			run(ci)
-		}(ci)
-	}
-	wg.Wait()
 }

@@ -7,16 +7,18 @@
 // It is a message-level proxy built on the same client pools the caches
 // use.
 //
-// A GET — the read path the whole design exists for — is relayed by
-// continuation: the connection's read loop picks the cache, starts the
-// upstream request and moves on; the upstream connection's reader then
-// runs the completion (relay.Complete), which encodes the downstream
-// response straight from the borrowed upstream one and queues the frame
-// to the client connection's writer. No goroutine is spawned and no
-// message changes hands for it. PUT, MGET and MPUT block on the sharded
-// client's failover and scatter-gather, so each gets a dispatcher
-// goroutine. Either way responses on one connection may overtake one
-// another; the client matches them by Seq.
+// Reads — the path the whole design exists for — are proxied by
+// continuation. The connection's read loop picks the cache for a GET, or
+// splits an MGET's keys by cache (batch.go), starts the upstream requests
+// and moves on; each upstream connection's reader then runs the
+// completion (relay.Complete, gatherPart.Complete), and the one that
+// settles the request encodes the downstream response once, into a pooled
+// frame, and queues it to the client connection's writer without
+// blocking. No goroutine is spawned and no message changes hands for a
+// read. PUT and MPUT block on the sharded client's failover and
+// scatter-gather, so they — and only they — get a dispatcher goroutine
+// each. Either way responses on one connection may overtake one another;
+// the client matches them by Seq.
 //
 // Close is graceful: the listener stops accepting, in-flight proxied
 // requests drain (bounded by DrainTimeout), and only then are the
@@ -92,6 +94,7 @@ type Server struct {
 	stores    *client.Sharded
 	cacheRing *ring.Ring
 	caches    []*client.Client
+	gathers   sync.Pool // *gather, see batch.go
 	c         Counters
 
 	reg *stats.Registry
@@ -327,7 +330,7 @@ func (s *Server) endRequests(n int) {
 const maxConnInflight = 256
 
 // clientConn is what one client connection's read loop shares with the
-// dispatcher goroutines and GET completions answering on it.
+// dispatcher goroutines and read completions answering on it.
 type clientConn struct {
 	s   *Server
 	out chan proto.Outgoing
@@ -345,6 +348,39 @@ func (cc *clientConn) acquire() {
 func (cc *clientConn) release() {
 	<-cc.sem
 	cc.answering.Done()
+}
+
+// answer closes tr's hop span on down and sends it as the response to a
+// request acquired on cc, without ever waiting for this client — it runs
+// on the read loop and on upstream connections' readers, which every
+// client connection shares. down may alias buffers that are only valid
+// during the call (a lent upstream response, a gather's scratch): it is
+// encoded here, once, into a pooled frame, and the frame is queued
+// without blocking.
+func (cc *clientConn) answer(tr *proto.SpanRec, down *proto.Msg) {
+	s := cc.s
+	o := proto.Outgoing{}
+	if frame, err := proto.EncodeShared(s.finishTrace(tr, down), 1); err == nil {
+		o.Raw = frame
+	} else {
+		// The answer outgrew MaxFrame on re-encoding (a near-limit value
+		// plus this hop's span).
+		s.c.Errors.Inc()
+		o.Msg = &proto.Msg{Type: proto.MsgErr, Seq: down.Seq, Err: err.Error()}
+	}
+	// inflight is released by the writer post-flush.
+	select {
+	case cc.out <- o:
+		cc.release()
+	default:
+		// This client is not draining its responses. Park the one frame
+		// on a goroutine (at most maxConnInflight of them: the slot is
+		// held until the frame is queued) instead of stalling the caller.
+		go func() {
+			cc.out <- o
+			cc.release()
+		}()
+	}
 }
 
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
@@ -386,52 +422,64 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		}
 		cc.acquire()
 		tr := proto.StartSpan(m, "lb")
-		if m.Type == proto.MsgGet {
-			// Run to completion: nothing of m outlives this iteration
-			// (the key is an interned string), so it is reused as is.
+		switch m.Type {
+		// Reads and local answers run to completion here: nothing of m
+		// outlives the case (keys are interned strings, and an MGET's are
+		// filed into the gather's own scratch), so it is reused as is.
+		case proto.MsgGet:
 			s.relayGet(cc, m, tr)
-			continue
+		case proto.MsgMGet:
+			s.scatterMGet(cc, m, tr)
+		case proto.MsgPut, proto.MsgMPut:
+			// The dispatcher goroutine owns the request Msg from here and
+			// returns it to the pool; the loop reads on into a fresh one.
+			s.dispatchWrite(cc, m, tr)
+			m = proto.GetMsg()
+		default:
+			cc.answer(tr, s.localResp(m))
 		}
-		if m.Value != nil {
-			// The value aliases the reader's buffer, which the next
-			// ReadMsg overwrites while the dispatcher still runs. (Keys
-			// are interned strings — immutable, safe to hold.)
-			m.Value = append([]byte(nil), m.Value...)
-		}
-		if len(m.Ops) > 0 {
-			// Batched writes: each op's value aliases the reader buffer
-			// too. One backing buffer copies them all.
-			total := 0
-			for i := range m.Ops {
-				total += len(m.Ops[i].Value)
-			}
-			buf := make([]byte, 0, total)
-			for i := range m.Ops {
-				if m.Ops[i].Value == nil {
-					continue
-				}
-				start := len(buf)
-				buf = append(buf, m.Ops[i].Value...)
-				m.Ops[i].Value = buf[start:len(buf):len(buf)]
-			}
-		}
-		// The dispatcher goroutine owns the request Msg from here and
-		// returns it to the pool; the loop reads on into a fresh one.
-		go func(m *proto.Msg) {
-			defer cc.release()
-			resp := s.route(m, tr)
-			resp.Seq = m.Seq
-			proto.PutMsg(m)
-			// inflight is released by the writer post-flush.
-			cc.out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
-		}(m)
-		m = proto.GetMsg()
 	}
 	proto.PutMsg(m)
 	cc.answering.Wait()
 	close(cc.out)
 	<-writerDone
 	conn.Close()
+}
+
+// dispatchWrite hands a PUT or MPUT to a dispatcher goroutine of its
+// own: the sharded store client blocks through failover.
+func (s *Server) dispatchWrite(cc *clientConn, m *proto.Msg, tr *proto.SpanRec) {
+	if m.Value != nil {
+		// The value aliases the reader's buffer, which the next ReadMsg
+		// overwrites while the dispatcher still runs. (Keys are interned
+		// strings — immutable, safe to hold.)
+		m.Value = append([]byte(nil), m.Value...)
+	}
+	if len(m.Ops) > 0 {
+		// Batched writes: each op's value aliases the reader buffer too.
+		// One backing buffer copies them all.
+		total := 0
+		for i := range m.Ops {
+			total += len(m.Ops[i].Value)
+		}
+		buf := make([]byte, 0, total)
+		for i := range m.Ops {
+			if m.Ops[i].Value == nil {
+				continue
+			}
+			start := len(buf)
+			buf = append(buf, m.Ops[i].Value...)
+			m.Ops[i].Value = buf[start:len(buf):len(buf)]
+		}
+	}
+	go func() {
+		defer cc.release()
+		resp := s.route(m, tr)
+		resp.Seq = m.Seq
+		proto.PutMsg(m)
+		// inflight is released by the writer post-flush.
+		cc.out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
+	}()
 }
 
 // relay is one GET in flight to a cache: the completion that turns the
@@ -453,18 +501,11 @@ func (s *Server) relayGet(cc *clientConn, m *proto.Msg, tr *proto.SpanRec) {
 	s.c.Reads.Inc()
 	g := relayPool.Get().(*relay)
 	*g = relay{cc: cc, seq: m.Seq, key: m.Key, tr: tr, start: time.Now()}
-	var trace *proto.Trace
-	if tr != nil {
-		trace = &proto.Trace{ID: tr.ID()}
-	}
-	s.cacheFor(m.Key).GetAsync(m.Key, trace, g)
+	s.cacheFor(m.Key).GetAsync(m.Key, tr.ID(), g)
 }
 
-// Complete relays the cache's answer to the client connection. It runs
-// on the upstream connection's reader, which every client connection
-// shares, so it must not wait for this one client: resp is encoded here,
-// while it is still valid, into a pooled frame, and the frame is queued
-// without blocking.
+// Complete relays the cache's answer to the client connection, straight
+// from the borrowed upstream response.
 func (g *relay) Complete(resp *proto.Msg, err error) {
 	cc, s := g.cc, g.cc.s
 	s.readRTT.Observe(float64(time.Since(g.start)))
@@ -481,31 +522,9 @@ func (g *relay) Complete(resp *proto.Msg, err error) {
 		s.c.Errors.Inc()
 		down = proto.Msg{Type: proto.MsgErr, Seq: g.seq, Err: err.Error()}
 	}
-	o := proto.Outgoing{}
-	if frame, err := proto.EncodeShared(s.finishTrace(g.tr, &down), 1); err == nil {
-		o.Raw = frame
-	} else {
-		// The answer outgrew MaxFrame on re-encoding (a near-limit value
-		// plus this hop's span).
-		s.c.Errors.Inc()
-		o.Msg = &proto.Msg{Type: proto.MsgErr, Seq: g.seq, Err: err.Error()}
-	}
+	cc.answer(g.tr, &down)
 	*g = relay{}
 	relayPool.Put(g)
-
-	// inflight is released by the writer post-flush.
-	select {
-	case cc.out <- o:
-		cc.release()
-	default:
-		// This client is not draining its responses. Park the one frame
-		// on a goroutine (at most maxConnInflight of them: the slot is
-		// held until the frame is queued) instead of stalling the reader.
-		go func() {
-			cc.out <- o
-			cc.release()
-		}()
-	}
 }
 
 // finishTrace closes a traced request's hop span on its response and
@@ -519,39 +538,37 @@ func (s *Server) finishTrace(tr *proto.SpanRec, resp *proto.Msg) *proto.Msg {
 	return resp
 }
 
+// route proxies a write — the one kind of request with a dispatcher
+// goroutine to block on.
 func (s *Server) route(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
-	switch m.Type {
-	case proto.MsgPut:
-		s.c.Writes.Inc()
-		start := time.Now()
-		version, st, err := s.stores.PutTraced(m.Key, m.Value, tr.ID())
-		tr.Add(st)
-		s.writeRTT.Observe(float64(time.Since(start)))
-		resp := proto.GetMsg()
-		if err != nil {
-			s.c.Errors.Inc()
-			resp.Type, resp.Err = proto.MsgErr, err.Error()
-			return resp
-		}
-		resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, version
-		return resp
-	case proto.MsgMGet:
-		s.c.Reads.Add(uint64(len(m.Keys)))
-		s.c.MGetKeys.Add(uint64(len(m.Keys)))
-		s.batchSize.Observe(float64(len(m.Keys)))
-		return s.routeMGet(m, tr)
-	case proto.MsgMPut:
-		s.c.Writes.Add(uint64(len(m.Ops)))
-		s.c.MPutKeys.Add(uint64(len(m.Ops)))
-		s.batchSize.Observe(float64(len(m.Ops)))
+	if m.Type == proto.MsgMPut {
 		return s.routeMPut(m, tr)
+	}
+	s.c.Writes.Inc()
+	start := time.Now()
+	version, st, err := s.stores.PutTraced(m.Key, m.Value, tr.ID())
+	tr.Add(st)
+	s.writeRTT.Observe(float64(time.Since(start)))
+	resp := proto.GetMsg()
+	if err != nil {
+		s.c.Errors.Inc()
+		resp.Type, resp.Err = proto.MsgErr, err.Error()
+		return resp
+	}
+	resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, version
+	return resp
+}
+
+// localResp answers what the balancer proxies nowhere.
+func (s *Server) localResp(m *proto.Msg) *proto.Msg {
+	switch m.Type {
 	case proto.MsgPing:
-		return &proto.Msg{Type: proto.MsgPong}
+		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
 	case proto.MsgStats:
-		return &proto.Msg{Type: proto.MsgStatsResp, Stats: s.StatsMap()}
+		return &proto.Msg{Type: proto.MsgStatsResp, Seq: m.Seq, Stats: s.StatsMap()}
 	default:
 		s.c.MalformedFrames.Inc()
-		return &proto.Msg{Type: proto.MsgErr, Err: fmt.Sprintf("lb: unexpected message %v", m.Type)}
+		return &proto.Msg{Type: proto.MsgErr, Seq: m.Seq, Err: fmt.Sprintf("lb: unexpected message %v", m.Type)}
 	}
 }
 

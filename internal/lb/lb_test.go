@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,12 +216,15 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // fakeCache is an upstream the test controls: it answers every GET with
-// the key echoed back as the value, but only after release is closed,
-// and kill severs everything mid-flight.
+// the key echoed back as the value — and every MGET likewise, keys that
+// start with "ghost" excepted (not found), or with a MsgErr if refuse is
+// set — but only after release is closed, and kill severs everything
+// mid-flight.
 type fakeCache struct {
 	ln      net.Listener
 	release chan struct{}
-	parked  atomic.Int64 // GETs read and waiting for release
+	refuse  bool         // MGETs are answered with MsgErr
+	parked  atomic.Int64 // requests read and waiting for release
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -257,14 +261,28 @@ func (f *fakeCache) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		resp := &proto.Msg{Type: proto.MsgGetResp, Seq: m.Seq, Status: proto.StatusOK,
+			Version: 1, Value: []byte(m.Key), Trace: m.Trace}
+		if m.Type == proto.MsgMGet {
+			resp = &proto.Msg{Type: proto.MsgMGetResp, Seq: m.Seq, Trace: m.Trace}
+			for _, k := range m.Keys {
+				op := proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Version: 1, Value: []byte(k)}
+				if strings.HasPrefix(k, "ghost") {
+					op = proto.BatchOp{Kind: proto.BatchInvalidate, Key: k}
+				}
+				resp.Ops = append(resp.Ops, op)
+			}
+			if f.refuse {
+				resp = &proto.Msg{Type: proto.MsgErr, Seq: m.Seq, Err: "fake: refused"}
+			}
+		}
 		f.parked.Add(1)
-		go func(seq uint64, key string) {
+		go func() {
 			<-f.release
 			wmu.Lock()
 			defer wmu.Unlock()
-			w.WriteMsg(&proto.Msg{Type: proto.MsgGetResp, Seq: seq, Status: proto.StatusOK, //nolint:errcheck // the test may have killed conn
-				Version: 1, Value: []byte(key)})
-		}(m.Seq, m.Key)
+			w.WriteMsg(resp) //nolint:errcheck // the test may have killed conn
+		}()
 	}
 }
 
@@ -277,14 +295,26 @@ func (f *fakeCache) kill() {
 	}
 }
 
-// startLBOver runs a balancer whose one cache is the fake; the store
-// address is never dialed (no writes are sent).
-func startLBOver(t *testing.T, f *fakeCache) (*Server, string) {
+// startLBOver runs a balancer whose caches are the fakes, in that ring
+// order; the store address is never dialed (no writes are sent). A
+// positive upstreamTimeout replaces the cache clients' 10s request
+// timeout, which Config deliberately does not expose.
+func startLBOver(t *testing.T, upstreamTimeout time.Duration, fakes ...*fakeCache) (*Server, string) {
 	t.Helper()
-	b, err := New(Config{StoreAddr: "127.0.0.1:1", CacheAddrs: []string{f.ln.Addr().String()},
+	var addrs []string
+	for _, f := range fakes {
+		addrs = append(addrs, f.ln.Addr().String())
+	}
+	b, err := New(Config{StoreAddr: "127.0.0.1:1", CacheAddrs: addrs,
 		DrainTimeout: 10 * time.Second, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if upstreamTimeout > 0 {
+		for i, addr := range addrs {
+			b.caches[i].Close()
+			b.caches[i] = client.New(addr, client.Options{RequestTimeout: upstreamTimeout})
+		}
 	}
 	bln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -369,7 +399,7 @@ func TestStalledClientDoesNotStallOthers(t *testing.T) {
 // flushed before the upstream clients are torn down.
 func TestCloseDrainsRelayedGets(t *testing.T) {
 	f := startFakeCache(t)
-	b, lbAddr := startLBOver(t, f)
+	b, lbAddr := startLBOver(t, 0, f)
 	c := client.New(lbAddr, client.Options{})
 	defer c.Close()
 
@@ -404,7 +434,7 @@ func TestCloseDrainsRelayedGets(t *testing.T) {
 // answered with MsgErr, none left hanging.
 func TestUpstreamDeathFailsRelayedGets(t *testing.T) {
 	f := startFakeCache(t)
-	b, lbAddr := startLBOver(t, f)
+	b, lbAddr := startLBOver(t, 0, f)
 	c := client.New(lbAddr, client.Options{})
 	defer c.Close()
 
@@ -425,4 +455,342 @@ func TestUpstreamDeathFailsRelayedGets(t *testing.T) {
 	if got := b.StatsMap()["errors"]; got != n {
 		t.Errorf("errors = %d, want %d", got, n)
 	}
+}
+
+// keysByCache returns per keys for each of b's caches, by ring owner.
+func keysByCache(b *Server, per int) [][]string {
+	out := make([][]string, b.CacheRing().Len())
+	for i, short := 0, len(out); short > 0; i++ {
+		k := fmt.Sprintf("gk-%d", i)
+		if ci := b.CacheRing().Owner(k); len(out[ci]) < per {
+			if out[ci] = append(out[ci], k); len(out[ci]) == per {
+				short--
+			}
+		}
+	}
+	return out
+}
+
+// interleave merges the per-cache key lists round-robin, so every cache's
+// keys are scattered through the request.
+func interleave(lists [][]string) []string {
+	var out []string
+	for i := 0; len(out) < len(lists)*len(lists[0]); i++ {
+		out = append(out, lists[i%len(lists)][i/len(lists)])
+	}
+	return out
+}
+
+// rawConn is a pipelining client that sees every frame the balancer
+// sends, duplicates included.
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+	w    *proto.Writer
+	r    *proto.Reader
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{t: t, conn: conn, w: proto.NewWriter(conn), r: proto.NewReader(conn)}
+}
+
+func (rc *rawConn) send(m *proto.Msg) {
+	rc.t.Helper()
+	if err := rc.w.WriteMsg(m); err != nil {
+		rc.t.Fatal(err)
+	}
+}
+
+// read returns the next frame, or nil if none arrives within wait.
+func (rc *rawConn) read(wait time.Duration) *proto.Msg {
+	rc.t.Helper()
+	rc.conn.SetReadDeadline(time.Now().Add(wait)) //nolint:errcheck
+	m, err := rc.r.ReadMsg()
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return nil
+	}
+	if err != nil {
+		rc.t.Fatal(err)
+	}
+	return m
+}
+
+// quiesced checks that nothing but the answer to a fresh PING is on its
+// way: no request was answered twice.
+func (rc *rawConn) quiesced() {
+	rc.t.Helper()
+	rc.send(&proto.Msg{Type: proto.MsgPing, Seq: 1 << 40})
+	if m := rc.read(5 * time.Second); m == nil || m.Type != proto.MsgPong || m.Seq != 1<<40 {
+		rc.t.Errorf("after every MGET was answered the next frame is %+v, want the PONG", m)
+	}
+	if m := rc.read(100 * time.Millisecond); m != nil {
+		rc.t.Errorf("stray frame after the PONG: %+v", m)
+	}
+}
+
+func closeReturns(t *testing.T, b *Server) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
+	}
+}
+
+// However a gathered MGET's sub-batches end — answered, refused, cut off
+// or timed out, in any mix — the client gets exactly one answer to it,
+// under its own Seq, and the balancer still closes.
+func TestGatherExactlyOnce(t *testing.T) {
+	const n = 8 // MGETs pipelined on the one client connection
+	cases := []struct {
+		name    string
+		oneSide bool // every key lives on cache 0; cache 1 must not be asked
+		refuse  bool // cache 1 answers MsgErr
+		settle  func(f1 *fakeCache)
+		wantErr string // what every answer's error mentions; "" = all succeed
+		late    bool   // cache 1's answers are released after the fact
+	}{
+		{name: "both parts ok", settle: func(f1 *fakeCache) { close(f1.release) }},
+		{name: "one part MsgErr", refuse: true, settle: func(f1 *fakeCache) { close(f1.release) },
+			wantErr: "fake: refused"},
+		{name: "one part transport death", settle: (*fakeCache).kill, wantErr: "client: c"}, // "connection broken" or "closed"
+		{name: "one part timeout", settle: func(*fakeCache) {}, wantErr: "timed out", late: true},
+		{name: "all keys on one cache", oneSide: true, settle: func(*fakeCache) {}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f0, f1 := startFakeCache(t), startFakeCache(t)
+			f1.refuse = tc.refuse
+			close(f0.release)
+			b, lbAddr := startLBOver(t, 300*time.Millisecond, f0, f1)
+			byCache := keysByCache(b, 4)
+			keys := interleave(byCache)
+			asked := int64(n)
+			if tc.oneSide {
+				keys, asked = byCache[0], 0
+			}
+
+			rc := dialRaw(t, lbAddr)
+			for i := 1; i <= n; i++ {
+				rc.send(&proto.Msg{Type: proto.MsgMGet, Seq: uint64(i), Keys: keys})
+			}
+			waitUntil(t, "the sub-batches to reach both caches", func() bool {
+				return f0.parked.Load() == n && f1.parked.Load() == asked
+			})
+			tc.settle(f1)
+
+			answers := make(map[uint64]int)
+			for i := 0; i < n; i++ {
+				m := rc.read(5 * time.Second)
+				if m == nil {
+					t.Fatalf("only %d of %d MGETs answered", i, n)
+				}
+				answers[m.Seq]++
+				switch {
+				case tc.wantErr != "":
+					want := "lb: batch read via cache " + f1.ln.Addr().String()
+					if m.Type != proto.MsgErr || !strings.Contains(m.Err, want) || !strings.Contains(m.Err, tc.wantErr) {
+						t.Errorf("Seq %d answered %v %q, want a MsgErr with %q and %q", m.Seq, m.Type, m.Err, want, tc.wantErr)
+					}
+				case m.Type != proto.MsgMGetResp || len(m.Ops) != len(keys):
+					t.Errorf("Seq %d answered %v with %d ops (%s), want %d", m.Seq, m.Type, len(m.Ops), m.Err, len(keys))
+				default:
+					for j, op := range m.Ops {
+						if op.Kind != proto.BatchUpdate || op.Key != keys[j] || string(op.Value) != keys[j] {
+							t.Errorf("Seq %d op %d = %+v, want key and value %q", m.Seq, j, op, keys[j])
+						}
+					}
+				}
+			}
+			for seq := uint64(1); seq <= n; seq++ {
+				if answers[seq] != 1 {
+					t.Errorf("Seq %d answered %d times", seq, answers[seq])
+				}
+			}
+			if tc.late {
+				close(f1.release) // the timed-out sub-batches' answers arrive now
+				time.Sleep(50 * time.Millisecond)
+			}
+			rc.quiesced()
+			wantErrs := uint64(0)
+			if tc.wantErr != "" {
+				wantErrs = n
+			}
+			if errs := b.StatsMap()["errors"]; errs != wantErrs {
+				t.Errorf("errors = %d, want %d", errs, wantErrs)
+			}
+			if reads := b.StatsMap()["reads"]; reads != uint64(n*len(keys)) {
+				t.Errorf("reads = %d, want %d", reads, n*len(keys))
+			}
+			closeReturns(t, b)
+		})
+	}
+}
+
+// Close waits for gathered MGETs still in flight: each is answered and
+// flushed before the upstream clients are torn down.
+func TestCloseDrainsGatheredMGets(t *testing.T) {
+	f0, f1 := startFakeCache(t), startFakeCache(t)
+	b, lbAddr := startLBOver(t, 0, f0, f1)
+	keys := interleave(keysByCache(b, 4))
+	c := client.New(lbAddr, client.Options{})
+	defer c.Close()
+
+	const n = 8
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			res, err := c.MGet(keys)
+			for j := range res {
+				if err == nil && string(res[j].Value) != keys[j] {
+					err = fmt.Errorf("MGet[%d] = %+v, want %q", j, res[j], keys[j])
+				}
+			}
+			errs <- err
+		}()
+	}
+	waitUntil(t, "the sub-batches to park upstream", func() bool {
+		return f0.parked.Load() == n && f1.parked.Load() == n
+	})
+
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	close(f0.release) // half of every gather is in; the other half still out
+	select {
+	case <-closed:
+		t.Fatal("Close returned with gathered MGETs unanswered")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(f1.release)
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("MGET in flight across Close: %v", err)
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the in-flight MGETs were answered")
+	}
+}
+
+// TestStalledClientDoesNotStallOthers for batches: the gather that
+// answers a client which stopped reading runs on the upstream readers
+// every other client's reads come back through.
+func TestStalledClientDoesNotStallGathers(t *testing.T) {
+	lbAddr, _, _ := startCluster(t, 2)
+	good := client.New(lbAddr, client.Options{})
+	defer good.Close()
+	var keys []string
+	var vals [][]byte
+	for i := 0; i < 16; i++ {
+		keys = append(keys, fmt.Sprintf("big-%d", i))
+		vals = append(vals, make([]byte, 4<<10))
+	}
+	if _, err := good.MPut(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+
+	// 600 answers of 64 KiB each: far more than the stalled client's queue
+	// (64 frames), its in-flight bound (256) and the socket buffers hold.
+	stalled, err := net.Dial("tcp", lbAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	go func() {
+		w := proto.NewWriter(stalled)
+		for i := 0; i < 600; i++ {
+			if w.WriteMsg(&proto.Msg{Type: proto.MsgMGet, Seq: uint64(i + 1), Keys: keys}) != nil {
+				return
+			}
+		}
+	}()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < 300; i++ {
+		res, err := good.MGet(keys[:4])
+		if err != nil || len(res) != 4 || !res[3].Found {
+			t.Fatalf("MGet %d beside a stalled client: %+v, %v", i, res, err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d MGETs in 10s beside a stalled client", i)
+		}
+	}
+}
+
+// The gathered answer is in request order whatever the split: duplicate
+// keys each get their slot, missing keys answer BatchInvalidate where
+// they were asked, and a traced batch shows one sibling hop per cache in
+// cache-ring order under the balancer's own.
+func TestGatherRequestOrderAndNotFound(t *testing.T) {
+	lbAddr, _, _ := startCluster(t, 2)
+	c := client.New(lbAddr, client.Options{})
+	defer c.Close()
+	var keys []string
+	var vals [][]byte
+	for i := 0; i < 12; i++ {
+		keys = append(keys, fmt.Sprintf("ok-%d", i))
+		vals = append(vals, []byte(fmt.Sprintf("ov-%d", i)))
+	}
+	if _, err := c.MPut(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for i, k := range keys {
+		want[k] = string(vals[i])
+	}
+	ask := []string{"ok-3", "ghost-a", "ok-0", "ok-3", "ghost-b", "ok-11", "ghost-a", "ok-7", "ok-0"}
+	ask = append(ask, keys...)
+
+	rc := dialRaw(t, lbAddr)
+	for round := 0; round < 3; round++ { // cold, then resident, then on a recycled gather
+		rc.send(&proto.Msg{Type: proto.MsgMGet, Seq: 77, Keys: ask, Trace: &proto.Trace{ID: 9}})
+		m := rc.read(5 * time.Second)
+		if m == nil || m.Type != proto.MsgMGetResp || m.Seq != 77 || len(m.Ops) != len(ask) {
+			t.Fatalf("round %d: MGET answered %+v", round, m)
+		}
+		for i, op := range m.Ops {
+			v, found := want[ask[i]]
+			if op.Key != ask[i] || (op.Kind == proto.BatchUpdate) != found || string(op.Value) != v {
+				t.Errorf("round %d: op %d = %+v, want key %q value %q found %v", round, i, op, ask[i], v, found)
+			}
+			if !found && (op.Kind != proto.BatchInvalidate || op.Version != 0) {
+				t.Errorf("round %d: missing key answered %+v, want a bare BatchInvalidate", round, op)
+			}
+		}
+		if round == 0 {
+			continue // the fills put store hops under each cache's
+		}
+		var hops []string
+		for _, sp := range m.Trace.Spans {
+			hops = append(hops, sp.Node)
+		}
+		// "ghost" keys miss every time, so their caches still fill.
+		var tiers []string
+		for _, h := range hops {
+			if !strings.HasPrefix(h, "store") {
+				tiers = append(tiers, h)
+			}
+		}
+		if got := strings.Join(tiers, " "); got != "cache:cache-0 cache:cache-1 lb" {
+			t.Errorf("round %d: hops %v, want cache-0, cache-1 (ring order) and lb last", round, hops)
+		}
+	}
+	rc.quiesced()
 }

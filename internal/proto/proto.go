@@ -347,16 +347,39 @@ type SharedFrame struct {
 	refs atomic.Int32
 }
 
-var framePool = sync.Pool{New: func() any { return new(SharedFrame) }}
+// Frames are pooled in two size classes. A store's epoch batches run to
+// megabytes while a proxy's relayed responses are a few kilobytes, and
+// where both live in one process (tests, the benchmark) a single pool has
+// them trade buffers: every small response in flight pins a recycled
+// megabyte frame, and the flusher regrows a small one each epoch.
+const smallFrame = 64 << 10
+
+var framePools [2]sync.Pool // by capacity: up to smallFrame, and beyond
+
+func framePool(size int) *sync.Pool {
+	if size <= smallFrame {
+		return &framePools[0]
+	}
+	return &framePools[1]
+}
 
 // EncodeShared encodes m once into a pooled frame carrying refs
 // references.
 func EncodeShared(m *Msg, refs int) (*SharedFrame, error) {
-	f := framePool.Get().(*SharedFrame)
+	// The keys and values m carries decide its class; headers cannot tip
+	// it.
+	size := len(m.Value)
+	for i := 0; i < len(m.Ops) && size <= smallFrame; i++ {
+		size += len(m.Ops[i].Key) + len(m.Ops[i].Value)
+	}
+	f, _ := framePool(size).Get().(*SharedFrame)
+	if f == nil {
+		f = new(SharedFrame)
+	}
 	b, err := AppendFrame(f.b[:0], m)
 	f.b = b
 	if err != nil {
-		framePool.Put(f)
+		framePool(cap(b)).Put(f)
 		return nil, err
 	}
 	f.refs.Store(int32(refs))
@@ -376,7 +399,7 @@ func (f *SharedFrame) Retain(n int32) { f.refs.Add(n) }
 func (f *SharedFrame) Release() {
 	if f.refs.Add(-1) == 0 {
 		if cap(f.b) <= maxRetainedScratch {
-			framePool.Put(f)
+			framePool(cap(f.b)).Put(f)
 		}
 	}
 }

@@ -166,25 +166,34 @@ func (r *Ring) Replicas(key string, n int) []string {
 
 // ReplicasOfHash is Replicas for a pre-hashed key identity.
 func (r *Ring) ReplicasOfHash(h uint64, n int) []string {
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	if n < 1 {
-		n = 1
-	}
+	return r.appendReplicas(make([]string, 0, min(max(n, 1), len(r.nodes))), h, n)
+}
+
+// AppendReplicas appends key's n-node replica set (see Replicas) to dst
+// and returns the extended slice: with room in dst the lookup allocates
+// nothing, which is what the per-write replica-leg lookup wants.
+func (r *Ring) AppendReplicas(dst []string, key string, n int) []string {
+	return r.appendReplicas(dst, sketch.Hash(key), n)
+}
+
+func (r *Ring) appendReplicas(dst []string, h uint64, n int) []string {
+	n = min(max(n, 1), len(r.nodes))
 	h = mix64(h)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make([]bool, len(r.nodes))
-	for j := 0; j < len(r.points) && len(out) < n; j++ {
-		p := r.points[(i+j)%len(r.points)]
-		if seen[p.node] {
-			continue
+	// The walk's distinct nodes so far are exactly what it has appended,
+	// so "seen" is a scan of that short tail — no scratch set.
+	base := len(dst)
+walk:
+	for j := 0; j < len(r.points) && len(dst)-base < n; j++ {
+		node := r.nodes[r.points[(i+j)%len(r.points)].node]
+		for _, seen := range dst[base:] {
+			if seen == node {
+				continue walk
+			}
 		}
-		seen[p.node] = true
-		out = append(out, r.nodes[p.node])
+		dst = append(dst, node)
 	}
-	return out
+	return dst
 }
 
 // IsReplica reports whether node self is within key's n-node replica

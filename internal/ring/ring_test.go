@@ -2,7 +2,10 @@ package ring
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+
+	"freshcache/internal/sketch"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -226,6 +229,50 @@ func TestReplicasDistinctAndOwnerFirst(t *testing.T) {
 	}
 	if got := r.Replicas("k", 0); len(got) != 1 {
 		t.Errorf("Replicas clamp low: %v", got)
+	}
+}
+
+// TestAppendReplicasMatchesReplicas pins the append-into form to the
+// allocating one, and both to an independent walk that tracks the nodes
+// it has seen in a set: same nodes, same order, for n below, at and past
+// the ring size; dst's prefix survives; room in dst means no allocation.
+func TestAppendReplicasMatchesReplicas(t *testing.T) {
+	nodes := []string{"a", "b", "c", "d", "e"}
+	r, err := New(nodes, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := func(key string, n int) []string {
+		start := 0
+		for h := mix64(sketch.Hash(key)); start < len(r.points) && r.points[start].hash < h; {
+			start++
+		}
+		var out []string
+		seen := map[int]bool{}
+		for j := 0; j < len(r.points) && len(out) < n; j++ {
+			if p := r.points[(start+j)%len(r.points)]; !seen[p.node] {
+				seen[p.node] = true
+				out = append(out, nodes[p.node])
+			}
+		}
+		return out
+	}
+	for i := 0; i < 500; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		for _, n := range []int{1, 2, r.Len(), r.Len() + 3} {
+			want := walk(key, n)
+			if got := r.Replicas(key, n); !slices.Equal(got, want) {
+				t.Fatalf("Replicas(%q, %d) = %v, the walk gives %v", key, n, got, want)
+			}
+			got := r.AppendReplicas([]string{"kept"}, key, n)
+			if got[0] != "kept" || !slices.Equal(got[1:], want) {
+				t.Fatalf("AppendReplicas([kept], %q, %d) = %v, want kept + %v", key, n, got, want)
+			}
+		}
+	}
+	var buf [8]string
+	if allocs := testing.AllocsPerRun(100, func() { r.AppendReplicas(buf[:0], "key-1", 3) }); allocs != 0 {
+		t.Errorf("AppendReplicas into a roomy dst allocates %.0f objects", allocs)
 	}
 }
 

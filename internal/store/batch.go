@@ -202,6 +202,7 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, out chan proto.Outg
 	}
 	var legs []leg
 	var localBuf [16]localWrite // keeps the usual request's list off the heap
+	var repBuf [4]string        // and each key's replica set
 	local, now := localBuf[:0], time.Now()
 	s.clMu.RLock()
 	for i := range ops {
@@ -233,7 +234,7 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, out chan proto.Outg
 		if lw.dirty != nil {
 			lw.dirty.add(key) // after the write: a dirty round may take it at once
 		}
-		for _, rep := range s.replicaTargetsLocked(key) {
+		for _, rep := range s.replicaTargetsLocked(repBuf[:0], key) {
 			legs = addLeg(legs, rep, false, lw.i, len(ops))
 		}
 	}

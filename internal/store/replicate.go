@@ -43,21 +43,21 @@ import (
 // re-triggers it.
 const repSyncAttempts = 3
 
-// replicaTargetsLocked returns the peers that must hold key before its
-// write may be acknowledged: key's replica set under the current ring,
-// minus this store. Caller holds clMu (read suffices).
-func (s *Server) replicaTargetsLocked(key string) []string {
+// replicaTargetsLocked appends to dst the peers that must hold key before
+// its write may be acknowledged: key's replica set under the current
+// ring, minus this store. Caller holds clMu (read suffices).
+func (s *Server) replicaTargetsLocked(dst []string, key string) []string {
 	if s.replicas <= 1 || s.clusterRing == nil {
-		return nil
+		return dst
 	}
-	set := s.clusterRing.Replicas(key, s.replicas) // a fresh slice: filter it in place
-	out := set[:0]
-	for _, n := range set {
-		if n != s.selfAddr {
-			out = append(out, n)
+	base := len(dst)
+	dst = s.clusterRing.AppendReplicas(dst, key, s.replicas)
+	for i := base; i < len(dst); i++ {
+		if dst[i] == s.selfAddr {
+			return append(dst[:i], dst[i+1:]...)
 		}
 	}
-	return out
+	return dst
 }
 
 // handleRepSync serves a replica's bootstrap pull: stream every key the

@@ -12,7 +12,8 @@
 // client.Completion): the client decodes every frame into that one Msg
 // and its byte slices alias the connection's read buffer, so it — and
 // its slice fields — are valid only until Complete returns, and it is
-// not the completion's to release.
+// not the completion's to release. client.DecodeMGet hands back the lent
+// Msg's own op list, so its result is lent on the same terms.
 package borrowedview
 
 import (
@@ -24,8 +25,9 @@ import (
 )
 
 const (
-	kvPkg    = "internal/kv"
-	protoPkg = "internal/proto"
+	kvPkg     = "internal/kv"
+	protoPkg  = "internal/proto"
+	clientPkg = "internal/client"
 )
 
 // Analyzer checks that borrowed view buffers neither escape nor mutate.
@@ -43,9 +45,9 @@ Authority.Get, or copy explicitly.
 
 The *proto.Msg parameter of a completion — a method
 Complete(resp *proto.Msg, err error) — is borrowed the same way, together
-with its slice fields (resp.Value, resp.Ops, ...): it may be read and
-passed down, but not retained, written through, or handed to
-proto.PutMsg.`,
+with every slice reachable through it (resp.Value, resp.Ops,
+resp.Ops[i].Value, ...): it may be read and passed down, but not
+retained, written through, or handed to proto.PutMsg.`,
 	Run: run,
 }
 
@@ -66,6 +68,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 //	value, ver, w, ok := auth.GetViewAged(key)     // value borrowed
 //	auth.GetViewAgedBatch(keys, func(i int, value []byte, ...) {...})
 //	b := frame.Bytes()                             // b borrowed
+//	ops, err := client.DecodeMGet(resp, keys)      // ops borrowed (resp.Ops)
 //	func (c *T) Complete(resp *proto.Msg, err error) // resp lent
 func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 	borrowed := make(map[*types.Var]string)
@@ -104,6 +107,8 @@ func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 					mark(n.Lhs[0], "Authority."+fn.Name())
 				case lintutil.IsMethod(fn, protoPkg, "SharedFrame", "Bytes"):
 					mark(n.Lhs[0], "SharedFrame.Bytes")
+				case lintutil.IsPkgFunc(fn, clientPkg, "DecodeMGet"):
+					mark(n.Lhs[0], lentMsg+"'s ops")
 				}
 			case *ast.CallExpr:
 				fn := lintutil.Callee(pass.TypesInfo, n)
@@ -162,6 +167,22 @@ func completionMsg(pass *analysis.Pass, fd *ast.FuncDecl) *ast.Ident {
 	return names[0]
 }
 
+// holdsSlice reports whether a value of type t is, or directly embeds, a
+// slice: copying it copies a reference to someone else's backing array.
+func holdsSlice(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		return true
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if holdsSlice(u.Field(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // borrowedRef is one mention of a borrowed buffer: name is how the
 // source spells it, what says who lent it.
 type borrowedRef struct{ name, what string }
@@ -169,23 +190,33 @@ type borrowedRef struct{ name, what string }
 func checkUses(pass *analysis.Pass, file *ast.File, borrowed map[*types.Var]string) {
 	isBorrowed := func(expr ast.Expr) (borrowedRef, bool) {
 		expr = ast.Unparen(expr)
-		if sel, ok := expr.(*ast.SelectorExpr); ok {
-			// A slice field of a lent Msg is as borrowed as the Msg.
-			v := lintutil.VarOf(pass.TypesInfo, sel.X)
-			if v == nil || borrowed[v] != lentMsg {
-				return borrowedRef{}, false
-			}
-			if _, isSlice := pass.TypesInfo.TypeOf(sel).Underlying().(*types.Slice); !isSlice {
-				return borrowedRef{}, false
-			}
-			return borrowedRef{v.Name() + "." + sel.Sel.Name, lentMsg}, true
+		if v := lintutil.VarOf(pass.TypesInfo, expr); v != nil {
+			what, ok := borrowed[v]
+			return borrowedRef{v.Name(), what}, ok
 		}
-		v := lintutil.VarOf(pass.TypesInfo, expr)
-		if v == nil {
+		// A slice reached through a borrowed value (view[4:], resp.Value,
+		// resp.Ops[i].Value), or an element that carries one
+		// (resp.Ops[i]), is as borrowed as the value.
+		root := expr
+		for {
+			switch e := ast.Unparen(root).(type) {
+			case *ast.SelectorExpr:
+				root = e.X
+				continue
+			case *ast.IndexExpr:
+				root = e.X
+				continue
+			case *ast.SliceExpr:
+				root = e.X
+				continue
+			}
+			break
+		}
+		what, ok := borrowed[lintutil.VarOf(pass.TypesInfo, root)]
+		if !ok || !holdsSlice(pass.TypesInfo.TypeOf(expr)) {
 			return borrowedRef{}, false
 		}
-		what, ok := borrowed[v]
-		return borrowedRef{v.Name(), what}, ok
+		return borrowedRef{types.ExprString(expr), what}, true
 	}
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {

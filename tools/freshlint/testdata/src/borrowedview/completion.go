@@ -3,6 +3,7 @@ package borrowedview
 import (
 	"net"
 
+	"freshcache/internal/client"
 	"freshcache/internal/proto"
 )
 
@@ -49,6 +50,45 @@ func (r *relayer) Complete(resp *proto.Msg, err error) {
 		r.conn.Write(frame.Bytes())
 		frame.Release()
 	}
+}
+
+// hoarder gathers a batch the wrong way: the ops it keeps still point
+// into the client's read buffer, which the next frame overwrites.
+type hoarder struct {
+	ops []proto.BatchOp
+}
+
+func (h *hoarder) Complete(resp *proto.Msg, err error) {
+	for i := range resp.Ops {
+		h.ops[i] = resp.Ops[i]             // want "completion's lent Msg buffer resp.Ops\\[i\\] stored in a map or slice element"
+		h.ops[i].Value = resp.Ops[i].Value // want "completion's lent Msg buffer resp.Ops\\[i\\].Value stored in a struct field"
+		resp.Ops[i].Value[0] = 0           // want "write into borrowed completion's lent Msg buffer resp.Ops\\[i\\].Value"
+	}
+	h.ops = resp.Ops[:2] // want "completion's lent Msg buffer resp.Ops\\[:2\\] stored in a struct field"
+
+	// DecodeMGet validates the answer; what it returns is still resp's.
+	ops, _ := client.DecodeMGet(resp, nil)
+	h.ops = ops                   // want "completion's lent Msg's ops buffer ops stored in a struct field"
+	h.ops[0].Value = ops[0].Value // want "completion's lent Msg's ops buffer ops\\[0\\].Value stored in a struct field"
+}
+
+// gatherer is the blessed shape for a batch: values copied into a buffer
+// of its own, scalars and (immutable) key strings taken as they are.
+type gatherer struct {
+	ops []proto.BatchOp
+	buf []byte
+}
+
+func (g *gatherer) Complete(resp *proto.Msg, err error) {
+	ops, _ := client.DecodeMGet(resp, nil)
+	buf := g.buf[:0]
+	for i := range ops {
+		at := len(buf)
+		buf = append(buf, ops[i].Value...)
+		g.ops[i].Key, g.ops[i].Version = ops[i].Key, resp.Ops[i].Version
+		g.ops[i].Value = buf[at:len(buf):len(buf)]
+	}
+	g.buf = buf
 }
 
 // notACompletion has the name but not the signature: its Msg is owned.

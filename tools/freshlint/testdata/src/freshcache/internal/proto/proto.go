@@ -17,6 +17,14 @@ type Msg struct {
 	Key     string
 	Value   []byte
 	Keys    []string
+	Ops     []BatchOp
+	Version uint64
+}
+
+type BatchOp struct {
+	Kind    uint8
+	Key     string
+	Value   []byte
 	Version uint64
 }
 
