@@ -16,7 +16,8 @@ import (
 // pays the resident-set locks once per touched kv shard and services
 // every miss through one batched fill per owning store shard. Misses
 // ride the same single-flight table as single GETs, so a batch member
-// and a concurrent single Get for one key share one store round trip.
+// and a concurrent single Get for one key share one store round trip,
+// whichever of the two leads it.
 
 // batchMisses is what an MGET's lookup pass hands its fill pass: the
 // keys that missed, where each sits in the response, and whether it was
@@ -64,17 +65,13 @@ func (s *Server) mgetLookup(m *proto.Msg) (*proto.Msg, batchMisses) {
 // A store-side failure fails the whole request — like the single-key
 // path, errors are not silently downgraded to not-found.
 func (s *Server) mgetFill(resp *proto.Msg, misses batchMisses, tr *proto.SpanRec) *proto.Msg {
-	for j, f := range s.fillBatch(misses.keys, tr) {
+	for j, f := range s.fillBatch(misses, tr) {
 		key, i := misses.keys[j], misses.idx[j]
 		switch {
 		case f.err == nil:
 			resp.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: key, Value: f.value, Version: f.version}
 		case errors.Is(f.err, client.ErrNotFound):
-			if misses.found[j] {
-				// Deleted upstream; drop our stale copy. The op stays a
-				// BatchInvalidate (clean not-found).
-				s.kv.Delete(key)
-			}
+			// The op stays a BatchInvalidate (clean not-found).
 		default:
 			eresp := proto.GetMsg()
 			eresp.Type, eresp.Seq = proto.MsgErr, resp.Seq
@@ -86,36 +83,27 @@ func (s *Server) mgetFill(resp *proto.Msg, misses batchMisses, tr *proto.SpanRec
 	return resp
 }
 
-// fillResult is one key's outcome from fillBatch; err wraps
-// client.ErrNotFound for keys the authority does not hold.
-type fillResult struct {
-	value   []byte
-	version uint64
-	err     error
-}
-
 // fillBatch resolves a batch's misses through the single-flight table:
 // keys with a fill already in flight (including duplicates within this
 // batch) join it; the rest go out as one batched fill, split by owning
-// store shard inside the sharded client. Results are in missKeys order.
-func (s *Server) fillBatch(missKeys []string, tr *proto.SpanRec) []fillResult {
-	flights := make([]*flight, len(missKeys))
+// store shard inside the sharded client, and this goroutine settles their
+// flights — answering any GET that parked on one meanwhile. Results are
+// the settled flights, in misses order.
+func (s *Server) fillBatch(misses batchMisses, tr *proto.SpanRec) []*flight {
+	flights := make([]*flight, len(misses.keys))
 	var (
 		leadKeys    []string
 		leadFlights []*flight
 	)
 	s.fillMu.Lock()
-	for i, k := range missKeys {
-		if f := s.fills[k]; f != nil {
-			s.c.FillsDeduped.Inc()
-			flights[i] = f
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		s.fills[k] = f
+	for i, k := range misses.keys {
+		f, lead := s.joinLocked(k, misses.found[i])
+		f.wait()
 		flights[i] = f
-		leadKeys = append(leadKeys, k)
-		leadFlights = append(leadFlights, f)
+		if lead {
+			leadKeys = append(leadKeys, k)
+			leadFlights = append(leadFlights, f)
+		}
 	}
 	s.fillMu.Unlock()
 
@@ -130,20 +118,18 @@ func (s *Server) fillBatch(missKeys []string, tr *proto.SpanRec) []fillResult {
 		s.fillRTT.Observe(float64(time.Since(fillStart)))
 		for j, f := range leadFlights {
 			r := res[j]
-			err := r.Err
-			if err == nil && !r.Found {
-				err = fmt.Errorf("%w: %q", client.ErrNotFound, leadKeys[j])
+			f.value, f.version, f.err = r.Value, r.Version, r.Err
+			if r.Err == nil && !r.Found {
+				f.err = fmt.Errorf("%w: %q", client.ErrNotFound, leadKeys[j])
 			}
-			s.settleFill(leadKeys[j], f, r.Value, r.Version, err)
+			s.settle(f)
 		}
 	}
 
-	out := make([]fillResult, len(missKeys))
-	for i, f := range flights {
+	for _, f := range flights {
 		<-f.done
-		out[i] = fillResult{value: f.value, version: f.version, err: f.err}
 	}
-	return out
+	return flights
 }
 
 // mputArgs copies a batched write's keys and values out of the reader's

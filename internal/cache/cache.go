@@ -2,7 +2,10 @@
 // capacity-bounded, LRU-evicting, cache-aside cache that
 //
 //   - serves GETs from its resident set, filling misses from the
-//     authoritative store shard that owns the key;
+//     authoritative store shard that owns the key — one store round trip
+//     per key however many reads miss on it meanwhile, and no goroutine
+//     per miss: a GET parks on its key's flight and is answered by the
+//     fill's completion, on the store connection's reader (see flight);
 //   - forwards PUTs to the owning store shard (writes bypass the cache);
 //   - subscribes to every store shard's batched invalidate/update pushes
 //     and applies them, detecting lost epochs per shard and
@@ -23,6 +26,7 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -445,13 +449,22 @@ func (s *Server) Close() error {
 
 // Get serves one read with cache-aside semantics. It is exported so the
 // node can be embedded in-process (the examples do this) as well as
-// served over TCP.
+// served over TCP. A miss blocks the caller — and only the caller — on
+// its flight's channel.
 func (s *Server) Get(key string) ([]byte, uint64, error) {
 	e, found, fresh := s.lookup(key, time.Now())
 	if fresh {
 		return e.Value, e.Version, nil
 	}
-	return s.fillMiss(key, found, nil)
+	s.fillMu.Lock()
+	f, lead := s.joinLocked(key, found)
+	done := f.wait()
+	s.fillMu.Unlock()
+	if lead {
+		f.lead(nil)
+	}
+	<-done
+	return f.value, f.version, f.err
 }
 
 // lookup is the part of a read that never blocks: one resident-set
@@ -485,77 +498,160 @@ func (s *Server) classify(key string, e *kv.Entry, found, fresh bool, now time.T
 	}
 }
 
-// fillMiss is the blocking remainder of a read that lookup classified a
-// miss: fetch from the authority through the single-flight table. A
-// traced fill propagates the trace ID to the authority and merges the
-// store's span into this hop's record, so the client's hop tree shows
-// where a miss actually spent its time.
-func (s *Server) fillMiss(key string, found bool, tr *proto.SpanRec) ([]byte, uint64, error) {
-	value, version, err := s.fill(key, tr)
-	if err != nil {
-		if errors.Is(err, client.ErrNotFound) && found {
-			// Deleted upstream; drop our stale copy.
-			s.kv.Delete(key)
-		}
-		return nil, 0, err
-	}
-	return value, version, nil
-}
-
-// flight is one in-flight miss fill: the leader that created it runs
-// the store round trip; every other miss for the key (concurrent single
-// Gets, overlapping batch members) blocks on done and shares the
-// result. The result fields are written exactly once, before done is
-// closed; voided is written only under fillMu while the flight is still
-// in the table.
+// flight is one in-flight miss fill, and the client.Completion of the
+// store round trip when a single-key miss leads it. Whoever finds no
+// flight for its key under fillMu leads: a GET in a connection's read loop
+// (or the embedded Get) starts FillAsync and goes back to reading; a batch
+// (fillBatch) fills its led keys in one blocking MFILL on its own
+// goroutine. Every other miss for the key joins: a GET parks a record the
+// settling goroutine answers, a blocking joiner takes the flight's channel.
+//
+// Ownership: a flight comes from flightPool and goes back to it in settle
+// — the exactly-once rule of client.Completion is what makes that safe —
+// unless a blocking joiner took its channel, in which case the joiners
+// still read the result fields and the flight is left to the collector.
+// found, parked, done and voided are written only under fillMu while the
+// flight is in the table; the result fields exactly once, by the leader,
+// before it settles.
 type flight struct {
-	done    chan struct{}
+	s   *Server
+	key string
+	// tr and start belong to a leader that started FillAsync: its span
+	// gets the store's hop, and fillRTT its round trip.
+	tr    *proto.SpanRec
+	start time.Time
+
+	found  bool // some joiner probed a resident (stale) copy
+	voided bool
+	parked []parkedGet
+	done   chan struct{} // made by the first blocking joiner
+
 	value   []byte
 	version uint64
 	err     error
-	voided  bool
 }
 
-// fill resolves one miss through the single-flight table: join the
-// key's in-flight fill if there is one, otherwise lead a new one.
-func (s *Server) fill(key string, tr *proto.SpanRec) ([]byte, uint64, error) {
-	s.fillMu.Lock()
-	if f := s.fills[key]; f != nil {
+// parkedGet is a GET waiting on a flight: where its answer goes.
+type parkedGet struct {
+	cs  *connState
+	seq uint64
+	tr  *proto.SpanRec
+}
+
+var flightPool = sync.Pool{New: func() any { return new(flight) }}
+
+// joinLocked enters one miss for key into the single-flight table: it
+// returns the key's flight and whether the caller now leads it (and owes
+// it a fill and a settle). Caller holds fillMu.
+func (s *Server) joinLocked(key string, found bool) (f *flight, lead bool) {
+	f = s.fills[key]
+	if lead = f == nil; lead {
+		f = flightPool.Get().(*flight)
+		f.s, f.key = s, key
+		s.fills[key] = f
+	} else {
 		s.c.FillsDeduped.Inc()
-		s.fillMu.Unlock()
-		<-f.done
-		return f.value, f.version, f.err
 	}
-	f := &flight{done: make(chan struct{})}
-	s.fills[key] = f
-	s.fillMu.Unlock()
-
-	fillStart := time.Now()
-	value, version, ft, err := s.stores.FillTraced(key, tr.ID())
-	tr.Add(ft)
-	s.fillRTT.Observe(float64(time.Since(fillStart)))
-	s.settleFill(key, f, value, version, err)
-	return f.value, f.version, f.err
+	f.found = f.found || found
+	return f, lead
 }
 
-// settleFill installs a completed fill's result, retires the flight,
-// and releases its waiters. A flight voided by an invalidate or resync
-// installs stale: the value may predate the write the invalidate
-// announced. Serving it once is within the bound (the write is younger
-// than T), but the copy must not stay fresh — the next read refetches.
-func (s *Server) settleFill(key string, f *flight, value []byte, version uint64, err error) {
-	if err == nil {
-		s.kv.Put(key, kv.Entry{Value: value, Version: version})
+// wait returns the channel closed when f settles, for a joiner with a
+// goroutine of its own to block. Caller holds fillMu.
+func (f *flight) wait() chan struct{} {
+	if f.done == nil {
+		f.done = make(chan struct{})
+	}
+	return f.done
+}
+
+// parkGet is the rest of a GET that lookup classified a miss, still on
+// the connection's read loop: join or lead the key's flight and return.
+// The answer is sent by whoever settles the flight.
+func (s *Server) parkGet(cs *connState, m *proto.Msg, tr *proto.SpanRec, found bool) {
+	cs.acquire()
+	s.fillMu.Lock()
+	f, lead := s.joinLocked(m.Key, found)
+	f.parked = append(f.parked, parkedGet{cs: cs, seq: m.Seq, tr: tr})
+	s.fillMu.Unlock()
+	if lead {
+		f.lead(tr)
+	}
+}
+
+// lead starts the store round trip of a flight the caller just created.
+// A traced fill propagates the trace ID to the authority; the store's span
+// is merged into tr, so the client's hop tree shows where the miss spent
+// its time.
+func (f *flight) lead(tr *proto.SpanRec) {
+	f.tr, f.start = tr, time.Now()
+	f.s.stores.FillAsync(f.key, tr.ID(), f)
+}
+
+// Complete runs on the store connection's reader, which serves every fill
+// on that connection: it must not block. The lent value is copied once —
+// the copy becomes the resident entry and every waiter's answer. A
+// transport failure may mean the owner is down: that flight alone goes to
+// a goroutine for the blocking ring refresh and retry (failover).
+func (f *flight) Complete(resp *proto.Msg, err error) {
+	switch {
+	case err == nil:
+		f.tr.Add(resp.Trace)
+		var value []byte
+		value, f.version, f.err = client.DecodeGet(resp, f.key)
+		f.value = bytes.Clone(value)
+	case errors.Is(err, client.ErrClosed):
+		f.err = err
+	default:
+		go f.failover()
+		return
+	}
+	f.landed()
+}
+
+func (f *flight) failover() {
+	var ft *proto.Trace
+	f.value, f.version, ft, f.err = f.s.stores.FillTraced(f.key, f.tr.ID())
+	f.tr.Add(ft)
+	f.landed()
+}
+
+// landed ends a fill the flight led itself.
+func (f *flight) landed() {
+	f.s.fillRTT.Observe(float64(time.Since(f.start)))
+	f.s.settle(f)
+}
+
+// settle installs the result its leader left on f, retires the flight and
+// answers its waiters. A flight voided by an invalidate or resync installs
+// stale: the value may predate the write the invalidate announced. Serving
+// it once is within the bound (the write is younger than T), but the copy
+// must not stay fresh — the next read refetches.
+func (s *Server) settle(f *flight) {
+	if f.err == nil {
+		s.kv.Put(f.key, kv.Entry{Value: f.value, Version: f.version})
 	}
 	s.fillMu.Lock()
 	voided := f.voided
-	delete(s.fills, key)
+	delete(s.fills, f.key)
 	s.fillMu.Unlock()
-	if err == nil && voided {
-		s.kv.Invalidate(key)
+	// Out of the table: nobody joins or voids f any more.
+	switch {
+	case f.err == nil && voided:
+		s.kv.Invalidate(f.key)
+	case f.found && errors.Is(f.err, client.ErrNotFound):
+		s.kv.Delete(f.key) // deleted upstream; drop our stale copy
 	}
-	f.value, f.version, f.err = value, version, err
-	close(f.done)
+	for _, p := range f.parked {
+		p.cs.answer(p.tr, getResp(p.seq, f.value, f.version, f.err))
+	}
+	if f.done != nil {
+		close(f.done) // its blocking joiners read the result: not recycled
+		return
+	}
+	clear(f.parked)
+	*f = flight{parked: f.parked[:0]}
+	flightPool.Put(f)
 }
 
 // observeFreshServe records freshness telemetry for a fresh hit: the
@@ -806,13 +902,44 @@ func (s *Server) applyBatch(m *proto.Msg) {
 const maxConnInflight = 256
 
 // connState is one client connection's outgoing queue plus the requests
-// still being carried on off the read loop.
+// still to be answered off the read loop: parked on a flight, or carried
+// on by a goroutine.
 type connState struct {
+	s   *Server
 	out chan proto.Outgoing
-	// sem holds one slot per carried-on request (maxConnInflight);
-	// carrying waits them all out before out is closed.
+	// sem holds one slot per such request (maxConnInflight); carrying
+	// waits them all out before out is closed.
 	sem      chan struct{}
 	carrying sync.WaitGroup
+}
+
+func (cs *connState) acquire() {
+	cs.sem <- struct{}{}
+	cs.carrying.Add(1)
+}
+
+func (cs *connState) release() {
+	<-cs.sem
+	cs.carrying.Done()
+}
+
+// answer closes tr's hop span on resp and queues it as the response to a
+// request acquired on cs, without ever waiting for this client: it runs
+// on store connections' readers, which every client connection shares.
+func (cs *connState) answer(tr *proto.SpanRec, resp *proto.Msg) {
+	o := proto.Outgoing{Msg: cs.s.finishTrace(tr, resp), Pooled: true}
+	select {
+	case cs.out <- o:
+		cs.release()
+	default:
+		// This client is not draining its responses. Park the one frame
+		// on a goroutine (at most maxConnInflight of them: the slot is
+		// held until the frame is queued) instead of stalling the caller.
+		go func() {
+			cs.out <- o
+			cs.release()
+		}()
+	}
 }
 
 // handleConn serves one client connection run-to-completion: the read
@@ -820,16 +947,20 @@ type connState struct {
 // round trip — a fresh hit, an MGET of fresh hits, PING, STATS — is
 // answered right there, from the reader's own request Msg, into the
 // coalescing writer's queue (a burst of responses costs one flush, not
-// one syscall each). Only the part that blocks goes on to a goroutine of
-// its own (carryOn): a miss fill or a forwarded write must not stall the
-// pipelined requests queued behind it. So responses may overtake one
-// another; each echoes its request's Seq for the client to demux.
+// one syscall each). A GET that misses is started there too: it parks on
+// its key's flight (parkGet) and is answered from the store connection's
+// reader. Only a forwarded write and an MGET's misses, whose sharded
+// store calls block, go on to a goroutine of their own (carryOn). None of
+// them stalls the pipelined requests queued behind it, so responses may
+// overtake one another; each echoes its request's Seq for the client to
+// demux.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.wg.Done()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
 	cs := &connState{
+		s:   s,
 		out: make(chan proto.Outgoing, 64),
 		sem: make(chan struct{}, maxConnInflight),
 	}
@@ -840,9 +971,9 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	}()
 
 	// One request Msg reused across the whole connection: dispatch either
-	// answers before returning or copies what the carried-on part keeps
-	// (values are copied, keys are interned strings), so nothing aliases
-	// m once it returns.
+	// answers before returning or copies what the parked or carried-on
+	// part keeps (values are copied, keys are interned strings), so
+	// nothing aliases m once it returns.
 	var m proto.Msg
 	r := proto.NewReader(conn)
 	for {
@@ -865,17 +996,13 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 }
 
 // carryOn answers a request asynchronously through the connection's
-// writer: fn is the blocking remainder (a store round trip) of a request
+// writer: fn is the blocking remainder (a sharded store call) of a request
 // whose non-blocking part the read loop has already done. It returns nil
 // — dispatch's "no response yet".
 func (s *Server) carryOn(cs *connState, tr *proto.SpanRec, fn func() *proto.Msg) *proto.Msg {
-	cs.sem <- struct{}{}
-	cs.carrying.Add(1)
+	cs.acquire()
 	go func() {
-		defer func() {
-			<-cs.sem
-			cs.carrying.Done()
-		}()
+		defer cs.release()
 		cs.out <- proto.Outgoing{Msg: s.finishTrace(tr, fn()), Pooled: true}
 	}()
 	return nil
@@ -908,7 +1035,8 @@ func getResp(seq uint64, value []byte, version uint64, err error) *proto.Msg {
 }
 
 // dispatch runs on the connection's read loop. It returns the response,
-// or nil after handing the blocking remainder of the request to carryOn.
+// or nil after parking the request on a flight or handing its blocking
+// remainder to carryOn.
 // m is the reader's: valid only until dispatch returns.
 func (s *Server) dispatch(m *proto.Msg, cs *connState, tr *proto.SpanRec) *proto.Msg {
 	switch m.Type {
@@ -917,11 +1045,8 @@ func (s *Server) dispatch(m *proto.Msg, cs *connState, tr *proto.SpanRec) *proto
 		if fresh {
 			return getResp(m.Seq, e.Value, e.Version, nil)
 		}
-		seq, key := m.Seq, m.Key
-		return s.carryOn(cs, tr, func() *proto.Msg {
-			value, version, err := s.fillMiss(key, found, tr)
-			return getResp(seq, value, version, err)
-		})
+		s.parkGet(cs, m, tr, found)
+		return nil
 	case proto.MsgPut:
 		// The value aliases the reader's buffer, which the next read
 		// overwrites while the store round trip is still running.

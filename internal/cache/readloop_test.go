@@ -2,26 +2,37 @@ package cache
 
 import (
 	"fmt"
+	"log"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"freshcache/internal/client"
+	"freshcache/internal/kv"
 	"freshcache/internal/proto"
 )
 
 // stubStore is an authority the test scripts: it answers the
 // subscription handshake and then stays silent, serves fills from a
-// fixed table (parking any fill that touches a key in slow until
-// release is closed), and records every read report it is sent.
+// table (parking any fill that touches a key in slow until release is
+// closed, answering MsgErr when refuse is set), counts the FILL and MFILL
+// frames it is sent, records every read report, and kill severs
+// everything mid-flight.
 type stubStore struct {
 	ln      net.Listener
-	values  map[string]string // immutable once serving
 	slow    map[string]bool
 	release chan struct{}
+	refuse  bool // set before the first fill
+
+	fills, mfills atomic.Int64 // frames read
 
 	mu      sync.Mutex
+	values  map[string]string
 	reports map[string]uint32
+	conns   []net.Conn
 }
 
 func startStubStore(t *testing.T, values map[string]string, slow ...string) *stubStore {
@@ -35,17 +46,43 @@ func startStubStore(t *testing.T, values map[string]string, slow ...string) *stu
 	for _, k := range slow {
 		s.slow[k] = true
 	}
-	t.Cleanup(func() { ln.Close() })
+	t.Cleanup(s.kill)
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			s.mu.Lock()
+			s.conns = append(s.conns, conn)
+			s.mu.Unlock()
 			go s.serve(conn)
 		}
 	}()
 	return s
+}
+
+func (s *stubStore) kill() {
+	s.ln.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.conns {
+		c.Close()
+	}
+}
+
+func (s *stubStore) value(key string) (string, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.values[key]
+	return v, ok
+}
+
+// remove deletes key upstream: fills answered from now on do not find it.
+func (s *stubStore) remove(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.values, key)
 }
 
 func (s *stubStore) serve(conn net.Conn) {
@@ -73,10 +110,14 @@ func (s *stubStore) serve(conn net.Conn) {
 			s.mu.Unlock()
 			reply(&proto.Msg{Type: proto.MsgPong, Seq: m.Seq})
 		case proto.MsgFill:
-			resp := &proto.Msg{Type: proto.MsgGetResp, Seq: m.Seq, Status: proto.StatusNotFound}
-			if v, ok := s.values[m.Key]; ok {
+			resp := &proto.Msg{Type: proto.MsgGetResp, Seq: m.Seq, Status: proto.StatusNotFound, Trace: m.Trace}
+			if v, ok := s.value(m.Key); ok {
 				resp.Status, resp.Version, resp.Value = proto.StatusOK, 7, []byte(v)
 			}
+			if s.refuse {
+				resp = &proto.Msg{Type: proto.MsgErr, Seq: m.Seq, Err: "stub: refused"}
+			}
+			s.fills.Add(1)
 			if s.slow[m.Key] {
 				go func() { <-s.release; reply(resp) }()
 				continue
@@ -87,12 +128,13 @@ func (s *stubStore) serve(conn net.Conn) {
 			park := false
 			for _, k := range m.Keys {
 				op := proto.BatchOp{Kind: proto.BatchInvalidate, Key: k}
-				if v, ok := s.values[k]; ok {
+				if v, ok := s.value(k); ok {
 					op = proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Value: []byte(v), Version: 7}
 				}
 				resp.Ops = append(resp.Ops, op)
 				park = park || s.slow[k]
 			}
+			s.mfills.Add(1)
 			if park {
 				go func() { <-s.release; reply(resp) }()
 				continue
@@ -118,18 +160,38 @@ func (s *stubStore) reported() map[string]uint32 {
 // nothing expires and no read report leaves until the test flushes.
 func startOverStub(t *testing.T, st *stubStore) (*Server, string) {
 	t.Helper()
+	return startOverStubTimeout(t, st, 0)
+}
+
+// startOverStubTimeout is startOverStub with the store client's 10s
+// request timeout, which Config deliberately does not expose, replaced
+// when fillTimeout is positive.
+func startOverStubTimeout(t *testing.T, st *stubStore, fillTimeout time.Duration) (*Server, string) {
+	t.Helper()
 	ca, err := New(Config{StoreAddr: st.ln.Addr().String(), T: time.Hour,
 		Name: "rtc-cache", Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fillTimeout > 0 {
+		ca.stores.Close()
+		ca.stores, err = client.NewSharded(ca.cfg.StoreAddrs, 0, client.Options{RequestTimeout: fillTimeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ca, serveCache(t, ca)
+}
+
+func serveCache(t *testing.T, ca *Server) string {
+	t.Helper()
 	cln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go ca.Serve(cln) //nolint:errcheck
 	t.Cleanup(func() { ca.Close() })
-	return ca, cln.Addr().String()
+	return cln.Addr().String()
 }
 
 // rawConn speaks frames to the cache over one connection, so the test
@@ -184,6 +246,34 @@ func (c *rawConn) recv() *proto.Msg {
 	}
 	m.Value = append([]byte(nil), m.Value...)
 	return m
+}
+
+// quiesced checks nothing is owed on the connection: a PING is answered
+// by the very next frame, and then there is silence.
+func (c *rawConn) quiesced() {
+	c.t.Helper()
+	ping := c.send(&proto.Msg{Type: proto.MsgPing})
+	if m := c.recv(); m.Type != proto.MsgPong || m.Seq != ping {
+		c.t.Errorf("a stray frame ahead of the PONG: %v Seq %d %q", m.Type, m.Seq, m.Err)
+	}
+	c.conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
+	if m, err := c.r.ReadMsg(); err == nil {
+		c.t.Errorf("a frame after the PONG: %v Seq %d", m.Type, m.Seq)
+	}
+}
+
+func closeReturns(t *testing.T, ca *Server) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		ca.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
 }
 
 // Hits pipelined behind a miss on one connection are answered from the
@@ -338,5 +428,340 @@ func TestReadAccountingOncePerKey(t *testing.T) {
 		if got[k] != n {
 			t.Errorf("key %q: %d reads reported, want %d", k, got[k], n)
 		}
+	}
+}
+
+// A GET that misses parks on its key's flight, and every flight ends
+// exactly once, however the store round trip ends: n GETs for one cold key,
+// pipelined over two client connections, share one FILL and each is
+// answered once under its own Seq; afterwards nothing more arrives and the
+// cache shuts down cleanly.
+func TestParkedGetsAnsweredExactlyOnce(t *testing.T) {
+	const n = 8
+	cases := []struct {
+		name    string
+		refuse  bool                // the store answers MsgErr
+		gone    bool                // the key was deleted upstream; the cache holds a stale copy
+		timeout time.Duration       // the store client's request timeout
+		settle  func(st *stubStore) // what ends the parked fill
+		wantErr string              // what every answer's error mentions; "" = none is a MsgErr
+		late    bool                // the fill's answers are released after the fact
+	}{
+		{name: "found", settle: func(st *stubStore) { close(st.release) }},
+		{name: "store answers MsgErr", refuse: true, settle: func(st *stubStore) { close(st.release) }, wantErr: "stub: refused"},
+		{name: "store answers not found", gone: true, settle: func(st *stubStore) { close(st.release) }},
+		{name: "store dies mid-fill", settle: (*stubStore).kill, wantErr: "client: "},
+		{name: "fill times out", timeout: 300 * time.Millisecond, settle: func(*stubStore) {}, wantErr: "timed out", late: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := startStubStore(t, map[string]string{"k": "v"}, "k")
+			st.refuse = tc.refuse
+			ca, addr := startOverStubTimeout(t, st, tc.timeout)
+			if tc.gone {
+				ca.KV().Put("k", kv.Entry{Value: []byte("old"), Version: 3, Stale: true})
+				st.remove("k")
+			}
+
+			conns := []*rawConn{dialRaw(t, addr), dialRaw(t, addr)}
+			for i := 0; i < n; i++ {
+				conns[i%2].get("k")
+			}
+			waitFor(t, 5*time.Second, func() bool {
+				return st.fills.Load() >= 1 && ca.StatsMap()["fills_deduped"] == n-1
+			}, "the GETs to park on one flight")
+			tc.settle(st)
+
+			for i := 0; i < n; i++ {
+				c := conns[i%2]
+				m := c.recv()
+				if want := uint64(i/2 + 1); m.Seq != want {
+					t.Errorf("conn %d answered Seq %d, want %d", i%2, m.Seq, want)
+				}
+				switch {
+				case tc.wantErr != "":
+					if m.Type != proto.MsgErr || !strings.Contains(m.Err, tc.wantErr) {
+						t.Errorf("answered %v %q, want a MsgErr mentioning %q", m.Type, m.Err, tc.wantErr)
+					}
+				case tc.gone:
+					if m.Type != proto.MsgGetResp || m.Status != proto.StatusNotFound {
+						t.Errorf("answered %v/%v %q, want NOT_FOUND", m.Type, m.Status, m.Err)
+					}
+				case m.Type != proto.MsgGetResp || m.Status != proto.StatusOK || string(m.Value) != "v" || m.Version != 7:
+					t.Errorf("answered %+v, want v at version 7", m)
+				}
+			}
+			if tc.late {
+				close(st.release) // the timed-out fills' answers arrive now
+				time.Sleep(50 * time.Millisecond)
+			}
+			for _, c := range conns {
+				c.quiesced()
+			}
+			// One round trip for all of them; a transport failure buys the
+			// flight one retry through the blocking failover path.
+			wantFills := int64(1)
+			if tc.late {
+				wantFills = 2
+			}
+			if got := st.fills.Load(); got != wantFills {
+				t.Errorf("%d FILLs on the wire, want %d", got, wantFills)
+			}
+			// Installed only when found; the stale copy of a key deleted
+			// upstream is dropped.
+			_, resident, fresh := ca.KV().Get("k", time.Now())
+			if want := tc.wantErr == "" && !tc.gone; resident != want || fresh != want {
+				t.Errorf("afterwards resident=%v fresh=%v, want both %v", resident, fresh, want)
+			}
+			ca.fillMu.Lock()
+			left := len(ca.fills)
+			ca.fillMu.Unlock()
+			if left != 0 {
+				t.Errorf("%d flights left in the table", left)
+			}
+			closeReturns(t, ca)
+		})
+	}
+}
+
+// Close with GETs still parked: closing the store client fails their
+// flight, which releases their connection's read loop, and Close returns.
+func TestCloseWithParkedGetsReturns(t *testing.T) {
+	st := startStubStore(t, map[string]string{"k": "v"}, "k")
+	ca, addr := startOverStub(t, st)
+	c := dialRaw(t, addr)
+	for i := 0; i < 4; i++ {
+		c.get("k")
+	}
+	waitFor(t, 5*time.Second, func() bool { return ca.StatsMap()["fills_deduped"] == 3 }, "the GETs to park")
+	closeReturns(t, ca)
+}
+
+// A client that stops reading its answers must not stall the store
+// connection's reader, which settles every other connection's fills too.
+func TestStalledClientDoesNotStallFills(t *testing.T) {
+	big := strings.Repeat("x", 64<<10)
+	values := map[string]string{}
+	for i := 0; i < 600; i++ {
+		values[fmt.Sprintf("big-%d", i)] = big
+		values[fmt.Sprintf("small-%d", i)] = "v"
+	}
+	st := startStubStore(t, values)
+	_, addr := startOverStub(t, st)
+
+	// The stalled client pipelines far more misses than its queue (64
+	// frames), its in-flight bound (256) and the socket buffers hold — and
+	// reads none of the answers.
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	go func() {
+		w := proto.NewWriter(stalled)
+		for i := 0; i < 600; i++ {
+			if w.WriteMsg(&proto.Msg{Type: proto.MsgGet, Seq: uint64(i + 1), Key: fmt.Sprintf("big-%d", i)}) != nil {
+				return
+			}
+		}
+	}()
+
+	good := client.New(addr, client.Options{})
+	defer good.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < 600; i++ {
+		if v, _, err := good.Get(fmt.Sprintf("small-%d", i)); err != nil || string(v) != "v" {
+			t.Fatalf("miss %d beside a stalled client: %q, %v", i, v, err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d misses filled in 10s beside a stalled client", i)
+		}
+	}
+}
+
+// Single GETs and batch members share flights whichever of them leads: a
+// GET joins a flight a batch's MFILL is filling, and a batch member joins
+// a flight a GET's FILL is filling.
+func TestGetsAndBatchesShareFlights(t *testing.T) {
+	st := startStubStore(t, map[string]string{"a": "va", "b": "vb", "c": "vc"}, "a", "b")
+	ca, addr := startOverStub(t, st)
+	c1, c2 := dialRaw(t, addr), dialRaw(t, addr)
+
+	batchLed := c1.mget("a", "c")
+	waitFor(t, 5*time.Second, func() bool { return st.mfills.Load() == 1 }, "the batch's MFILL")
+	getJoins := c2.get("a")
+
+	getLed := c2.get("b")
+	waitFor(t, 5*time.Second, func() bool { return st.fills.Load() == 1 }, "the GET's FILL")
+	batchJoins := c1.mget("b", "c") // c joins the first batch's flight too
+	waitFor(t, 5*time.Second, func() bool { return ca.StatsMap()["fills_deduped"] == 3 }, "the joiners")
+	close(st.release)
+
+	got := map[uint64]*proto.Msg{}
+	for i := 0; i < 2; i++ {
+		m := c1.recv()
+		got[m.Seq] = m
+	}
+	if m := got[batchLed]; m == nil || len(m.Ops) != 2 || string(m.Ops[0].Value) != "va" || string(m.Ops[1].Value) != "vc" {
+		t.Errorf("the leading batch answered %+v", m)
+	}
+	if m := got[batchJoins]; m == nil || len(m.Ops) != 2 || string(m.Ops[0].Value) != "vb" || string(m.Ops[1].Value) != "vc" {
+		t.Errorf("the joining batch answered %+v", m)
+	}
+	got = map[uint64]*proto.Msg{}
+	for i := 0; i < 2; i++ {
+		m := c2.recv()
+		got[m.Seq] = m
+	}
+	if m := got[getJoins]; m == nil || m.Type != proto.MsgGetResp || string(m.Value) != "va" {
+		t.Errorf("the GET that joined the batch's flight answered %+v", m)
+	}
+	if m := got[getLed]; m == nil || m.Type != proto.MsgGetResp || string(m.Value) != "vb" {
+		t.Errorf("the GET that led answered %+v", m)
+	}
+	c1.quiesced()
+	c2.quiesced()
+	if f, mf := st.fills.Load(), st.mfills.Load(); f != 1 || mf != 1 {
+		t.Errorf("store served %d FILLs and %d MFILLs, want 1 and 1", f, mf)
+	}
+}
+
+// A traced GET that misses still carries the store's hop inside the
+// cache's, and the slow-request log still fires for it, now that the
+// answer is built on the store connection's reader.
+func TestParkedGetTraceAndSlowLog(t *testing.T) {
+	st := startStubStore(t, map[string]string{"k": "v"}, "k")
+	var logged lockedBuf
+	ca, err := New(Config{StoreAddr: st.ln.Addr().String(), T: time.Hour, Name: "rtc-cache",
+		SlowTraceThreshold: time.Millisecond, Logger: log.New(&logged, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dialRaw(t, serveCache(t, ca))
+	c.send(&proto.Msg{Type: proto.MsgGet, Key: "k", Trace: &proto.Trace{ID: 42}})
+	waitFor(t, 5*time.Second, func() bool { return st.fills.Load() == 1 }, "the fill")
+	time.Sleep(5 * time.Millisecond) // past the slow threshold
+	if n := ca.fillRTT.Count(); n != 0 {
+		t.Errorf("%d fill RTT samples before the fill landed", n)
+	}
+	close(st.release)
+	m := c.recv()
+	if m.Trace == nil || m.Trace.ID != 42 || len(m.Trace.Spans) != 1 || m.Trace.Spans[0].Node != "cache:rtc-cache" {
+		t.Fatalf("trace = %+v, want the cache's span (the stub store adds none)", m.Trace)
+	}
+	if !strings.Contains(logged.String(), "cache:rtc-cache") {
+		t.Errorf("no slow-request log line for the parked GET: %q", logged.String())
+	}
+	if n := ca.fillRTT.Count(); n != 1 {
+		t.Errorf("%d fill RTT samples for one led fill", n)
+	}
+}
+
+// lockedBuf is a log sink written from the goroutine that settles a fill.
+type lockedBuf struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuf) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuf) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// startStubCoord answers RING_GET with whatever ring the test last set.
+func startStubCoord(t *testing.T) (addr string, publish func(epoch uint64, nodes ...string)) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var mu sync.Mutex
+	var ring proto.Msg
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				w, r := proto.NewWriter(conn), proto.NewReader(conn)
+				for {
+					m, err := r.ReadMsg()
+					if err != nil {
+						return
+					}
+					mu.Lock()
+					resp := ring
+					mu.Unlock()
+					resp.Seq = m.Seq
+					if w.WriteMsg(&resp) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), func(epoch uint64, nodes ...string) {
+		mu.Lock()
+		defer mu.Unlock()
+		ring = proto.Msg{Type: proto.MsgRingResp, Epoch: epoch, Nodes: nodes,
+			Version: 16, Replicas: 1, Stamp: time.Now().UnixNano()}
+	}
+}
+
+// In cluster mode, the owning store dying with GETs parked on a fill sends
+// that flight — alone — through the blocking failover path: the ring is
+// refreshed from the coordinator and every parked GET is answered from the
+// promoted owner.
+func TestParkedGetsFailOverToPromotedOwner(t *testing.T) {
+	dying := startStubStore(t, map[string]string{"k": "old"}, "k")
+	promoted := startStubStore(t, map[string]string{"k": "v"})
+	coord, publish := startStubCoord(t)
+	publish(1, dying.ln.Addr().String())
+	// The watcher never polls: only the failed fill's refresh can learn
+	// of epoch 2.
+	ca, err := New(Config{ClusterAddr: coord, T: time.Hour, WatchInterval: time.Hour,
+		Name: "rtc-cache", Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dialRaw(t, serveCache(t, ca))
+
+	const n = 4
+	for i := 0; i < n; i++ {
+		c.get("k")
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		return dying.fills.Load() == 1 && ca.StatsMap()["fills_deduped"] == n-1
+	}, "the GETs to park on the doomed owner")
+	publish(2, promoted.ln.Addr().String())
+	dying.kill()
+
+	for i := 0; i < n; i++ {
+		if m := c.recv(); m.Type != proto.MsgGetResp || string(m.Value) != "v" {
+			t.Errorf("Seq %d answered %v %q %q, want the promoted owner's value", m.Seq, m.Type, m.Value, m.Err)
+		}
+	}
+	c.quiesced()
+	sm := ca.StatsMap()
+	if sm["failovers"] != 1 || sm["ring_epoch"] != 2 {
+		t.Errorf("failovers = %d, ring epoch = %d, want 1 and 2", sm["failovers"], sm["ring_epoch"])
+	}
+	if got := promoted.fills.Load(); got != 1 {
+		t.Errorf("promoted owner served %d FILLs, want 1", got)
+	}
+	// The swap moved the key while its fill was in flight: installed, but
+	// not as fresh.
+	if _, resident, fresh := ca.KV().Get("k", time.Now()); !resident || fresh {
+		t.Errorf("afterwards resident=%v fresh=%v, want a stale copy", resident, fresh)
 	}
 }

@@ -9,9 +9,10 @@
 // writes. Concurrent calls share connections instead of queueing behind
 // them, and request timeouts are per-request deadlines swept by a
 // janitor, so one slow request does not poison a shared connection.
-// Blocking calls park only the caller's own goroutine; GetAsync and
-// MGetAsync park none — a proxy relays (or, for a scattered batch,
-// gathers) the response from inside the completion.
+// Blocking calls park only the caller's own goroutine; GetAsync,
+// MGetAsync and FillAsync park none — a proxy relays (or, for a scattered
+// batch, gathers; or, for a miss fill, installs) the response from inside
+// the completion.
 //
 // Every verb, blocking or asynchronous, has one body taking a trace ID,
 // where 0 means untraced: no proto.Trace is allocated or sent and the
@@ -185,6 +186,13 @@ func (c *Client) get(t proto.MsgType, key string, traceID uint64) ([]byte, uint6
 // way, so the caller never waits out a dial.
 func (c *Client) GetAsync(key string, traceID uint64, done Completion) {
 	req := newReq(proto.MsgGet)
+	req.Key = key
+	c.startAsync(req, traceID, done)
+}
+
+// FillAsync is GetAsync for the cache-internal miss fill (see Fill).
+func (c *Client) FillAsync(key string, traceID uint64, done Completion) {
+	req := newReq(proto.MsgFill)
 	req.Key = key
 	c.startAsync(req, traceID, done)
 }

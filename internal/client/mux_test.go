@@ -626,6 +626,34 @@ func TestGetAsyncColdAndServerErrors(t *testing.T) {
 	}
 }
 
+// FillAsync is GetAsync with the cache-internal verb on the wire — cold
+// slot and live connection alike — and the sharded client starts it on the
+// key's owner.
+func TestFillAsyncSendsFill(t *testing.T) {
+	var fills atomic.Int64
+	s := startMuxTestServer(t, func(m *proto.Msg) *proto.Msg {
+		if m.Type == proto.MsgFill {
+			fills.Add(1)
+		}
+		return echoHandler(m)
+	}, 0)
+	sh, err := NewSharded([]string{s.addr()}, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	for i, key := range []string{"cold", "warm"} {
+		r := newRecorder(key, nil)
+		sh.FillAsync(key, 0, r)
+		if rec := r.wait(t); rec.err != nil || rec.value != key {
+			t.Fatalf("FillAsync(%q) got %q, %v", key, rec.value, rec.err)
+		}
+		if got := fills.Load(); got != int64(i+1) {
+			t.Fatalf("%d FILLs on the wire after %d FillAsync calls", got, i+1)
+		}
+	}
+}
+
 // batchRecorder is recorder's MGET twin: it decodes the lent batch in
 // place against the keys it asked for and keeps copies.
 type batchRecorder struct {

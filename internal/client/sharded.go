@@ -246,6 +246,14 @@ func (s *Sharded) FillTraced(key string, traceID uint64) ([]byte, uint64, *proto
 	return s.get(proto.MsgFill, key, traceID)
 }
 
+// FillAsync starts a miss fill against key's owning shard (see
+// Client.FillAsync) and nothing more: there is no goroutine here to block
+// through keyCall's ring refresh. A completion handed a transport error
+// that wants the failover retry runs FillTraced on a goroutine of its own.
+func (s *Sharded) FillAsync(key string, traceID uint64, done Completion) {
+	s.For(key).FillAsync(key, traceID, done)
+}
+
 func (s *Sharded) get(t proto.MsgType, key string, traceID uint64) (value []byte, version uint64, tr *proto.Trace, err error) {
 	err = s.keyCall(key, func(c *Client) error {
 		value, version, tr, err = c.get(t, key, traceID)

@@ -177,13 +177,18 @@ func (c *Cache) Put(key string, e Entry) bool {
 		s.touch(n)
 		return true
 	}
+	var n *node
 	if s.capacity > 0 && len(s.m) >= s.capacity {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.m, victim.key)
+		// The evicted victim's list node becomes the new entry's: readers
+		// only ever get copies of n.e, so nothing outside the lock holds it.
+		n = s.tail
+		s.unlink(n)
+		delete(s.m, n.key)
 		s.evictions++
+		n.key, n.e = key, e
+	} else {
+		n = &node{key: key, e: e}
 	}
-	n := &node{key: key, e: e}
 	s.m[key] = n
 	s.pushFront(n)
 	return true

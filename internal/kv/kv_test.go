@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"freshcache/internal/sketch"
 )
 
 var t0 = time.Unix(1000, 0)
@@ -441,5 +443,60 @@ func TestAuthorityStripedVersionsConcurrent(t *testing.T) {
 	}
 	if a.Len() != nkeys {
 		t.Errorf("Len = %d, want %d", a.Len(), nkeys)
+	}
+}
+
+// TestPutAtCapacityReusesNode: a Put that evicts hands the victim's list
+// node to the new entry instead of allocating one — and evicts exactly as
+// before: the least recently used key of the shard goes, once.
+func TestPutAtCapacityReusesNode(t *testing.T) {
+	// Keys of one shard, so the test decides what the LRU order is.
+	var keys []string
+	for i := 0; len(keys) < 1200; i++ {
+		if k := fmt.Sprintf("key-%d", i); sketch.Hash(k)&(numShards-1) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	c := NewCache(3 * numShards) // three slots per shard
+	for i, k := range keys[:3] {
+		c.Put(k, Entry{Value: []byte(k), Version: uint64(i + 1)})
+	}
+	c.Get(keys[0], t0)                                        // keys[1] is now the least recently used
+	c.Put(keys[3], Entry{Value: []byte(keys[3]), Version: 4}) // evicts it
+	if n := c.Evictions(); n != 1 {
+		t.Fatalf("Evictions = %d, want 1", n)
+	}
+	if _, found, _ := c.Get(keys[1], t0); found {
+		t.Errorf("%s survived: not the least recently used key was evicted", keys[1])
+	}
+	for _, k := range []string{keys[0], keys[2], keys[3]} {
+		if e, found, fresh := c.Get(k, t0); !found || !fresh || string(e.Value) != k {
+			t.Errorf("%s: found=%v fresh=%v value %q", k, found, fresh, e.Value)
+		}
+	}
+	// Most recent first: keys[3], keys[2], keys[0] after the reads above.
+	// Two more evicting Puts take keys[0] then keys[2].
+	c.Get(keys[3], t0)
+	c.Put(keys[4], Entry{Version: 5})
+	c.Put(keys[5], Entry{Version: 6})
+	for i, want := range []bool{false, false, false, true, true, true} {
+		if _, found, _ := c.Get(keys[i], t0); found != want {
+			t.Errorf("%s resident = %v, want %v", keys[i], found, want)
+		}
+	}
+	if n, l := c.Evictions(), c.Len(); n != 3 || l != 3 {
+		t.Errorf("Evictions = %d, Len = %d, want 3 and 3", n, l)
+	}
+
+	next := 6
+	e := Entry{Value: []byte("v"), Version: 7, FreshAt: t0}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.Put(keys[next], e)
+		next++
+	}); allocs != 0 {
+		t.Errorf("an evicting Put allocates %.0f objects, want 0", allocs)
+	}
+	if n, l := c.Evictions(), c.Len(); n != uint64(next-3) || l != 3 {
+		t.Errorf("Evictions = %d, Len = %d, want %d and 3", n, l, next-3)
 	}
 }

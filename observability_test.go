@@ -19,12 +19,13 @@ import (
 // three servers plus a client talking to the LB.
 func obsStack(t *testing.T, T time.Duration) (*freshcache.StoreServer, *freshcache.CacheServer, *freshcache.LoadBalancer, *freshcache.Client) {
 	t.Helper()
-	st, caches, balancer, c := obsStackN(t, T, 1)
+	st, caches, balancer, c := obsStackN(t, T, 1, 0)
 	return st, caches[0], balancer, c
 }
 
-// obsStackN is obsStack with n caches behind the balancer.
-func obsStackN(t *testing.T, T time.Duration, n int) (*freshcache.StoreServer, []*freshcache.CacheServer, *freshcache.LoadBalancer, *freshcache.Client) {
+// obsStackN is obsStack with n caches behind the balancer, each bounded to
+// capacity objects (0 = unbounded).
+func obsStackN(t *testing.T, T time.Duration, n, capacity int) (*freshcache.StoreServer, []*freshcache.CacheServer, *freshcache.LoadBalancer, *freshcache.Client) {
 	t.Helper()
 	st := freshcache.NewStoreServer(freshcache.StoreConfig{T: T, ShardID: "obs-store"})
 	sln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -42,7 +43,7 @@ func obsStackN(t *testing.T, T time.Duration, n int) (*freshcache.StoreServer, [
 			name = fmt.Sprintf("obs-cache-%d", i)
 		}
 		ca, err := freshcache.NewCacheServer(freshcache.CacheConfig{
-			StoreAddr: sln.Addr().String(), T: T, Name: name,
+			StoreAddr: sln.Addr().String(), T: T, Name: name, Capacity: capacity,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -361,7 +362,7 @@ func TestBatchReadAllocationPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own and makes sync.Pool drop objects")
 	}
-	_, caches, _, c := obsStackN(t, time.Hour, 2)
+	_, caches, _, c := obsStackN(t, time.Hour, 2, 0)
 	keys := make([]string, 16)
 	vals := make([][]byte, 16)
 	for i := range keys {
@@ -386,5 +387,51 @@ func TestBatchReadAllocationPin(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(2000, mget); allocs > 9 {
 		t.Errorf("a 16-key all-hit MGET through the LB allocates %.0f objects, budget is 9", allocs)
+	}
+}
+
+// TestMissAllocationPin holds the miss path to its budget: a GET for a
+// key the cache does not hold, through client → LB → cache → store and
+// back, with the cache at capacity so that every fill evicts. Measured: 7
+// while a miss parked a goroutine on a channel (the flight and its
+// channel, the miss closure and the goroutine's, a list node per install,
+// on top of what remains), 2 now that it parks a record on a pooled flight
+// and is answered from the store connection's reader — the cache's copy of
+// the filled value, which becomes the resident entry, and the blocking
+// client's copy of the answer. The pin is 2 + 2.
+func TestMissAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own and makes sync.Pool drop objects")
+	}
+	// One slot per kv shard, and eight times as many keys read round
+	// robin: whatever a GET asks for was evicted long ago.
+	const capacity, universe = 64, 512
+	_, caches, _, c := obsStackN(t, time.Hour, 1, capacity)
+	keys := make([]string, universe)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("churn-%d", i)
+		if _, err := c.Put(keys[i], make([]byte, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	get := func() {
+		if v, _, err := c.Get(keys[next%universe]); err != nil || len(v) != 128 {
+			t.Fatalf("Get = %d bytes, %v", len(v), err)
+		}
+		next++
+	}
+	for i := 0; i < 2*universe; i++ { // cache full, connections up, pools and intern tables warm
+		get()
+	}
+	before := caches[0].StatsMap()
+	allocs := testing.AllocsPerRun(2000, get)
+	after := caches[0].StatsMap()
+	if misses := after["cold_misses"] - before["cold_misses"]; misses < 2000 || after["evictions"]-before["evictions"] < 2000 {
+		t.Fatalf("only %d of the GETs missed (%d evictions): the pin must cover the evicting miss path",
+			misses, after["evictions"]-before["evictions"])
+	}
+	if allocs > 4 {
+		t.Errorf("a miss through the LB allocates %.0f objects, budget is 4", allocs)
 	}
 }

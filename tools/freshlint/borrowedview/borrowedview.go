@@ -13,7 +13,8 @@
 // and its byte slices alias the connection's read buffer, so it — and
 // its slice fields — are valid only until Complete returns, and it is
 // not the completion's to release. client.DecodeMGet hands back the lent
-// Msg's own op list, so its result is lent on the same terms.
+// Msg's own op list and client.DecodeGet its value, so their results are
+// lent on the same terms.
 package borrowedview
 
 import (
@@ -69,6 +70,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 //	auth.GetViewAgedBatch(keys, func(i int, value []byte, ...) {...})
 //	b := frame.Bytes()                             // b borrowed
 //	ops, err := client.DecodeMGet(resp, keys)      // ops borrowed (resp.Ops)
+//	value, ver, err := client.DecodeGet(resp, key) // value borrowed (resp.Value)
 //	func (c *T) Complete(resp *proto.Msg, err error) // resp lent
 func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 	borrowed := make(map[*types.Var]string)
@@ -109,6 +111,8 @@ func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 					mark(n.Lhs[0], "SharedFrame.Bytes")
 				case lintutil.IsPkgFunc(fn, clientPkg, "DecodeMGet"):
 					mark(n.Lhs[0], lentMsg+"'s ops")
+				case lintutil.IsPkgFunc(fn, clientPkg, "DecodeGet"):
+					mark(n.Lhs[0], lentMsg+"'s value")
 				}
 			case *ast.CallExpr:
 				fn := lintutil.Callee(pass.TypesInfo, n)

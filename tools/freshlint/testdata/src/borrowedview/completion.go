@@ -1,6 +1,7 @@
 package borrowedview
 
 import (
+	"bytes"
 	"net"
 
 	"freshcache/internal/client"
@@ -89,6 +90,36 @@ func (g *gatherer) Complete(resp *proto.Msg, err error) {
 		g.ops[i].Value = buf[at:len(buf):len(buf)]
 	}
 	g.buf = buf
+}
+
+// leakyFlight settles a miss fill the wrong way: the value it installs and
+// answers its waiters with is still the client's read buffer.
+type leakyFlight struct {
+	key     string
+	value   []byte
+	version uint64
+	err     error
+}
+
+func (f *leakyFlight) Complete(resp *proto.Msg, err error) {
+	f.value = resp.Value // want "completion's lent Msg buffer resp.Value stored in a struct field"
+	value, version, err := client.DecodeGet(resp, f.key)
+	f.value, f.version, f.err = value, version, err // want "completion's lent Msg's value buffer value stored in a struct field"
+}
+
+// flight is the blessed shape: the one copy a miss must make, taken before
+// anything outlives the call.
+type flight struct {
+	key     string
+	value   []byte
+	version uint64
+	err     error
+}
+
+func (f *flight) Complete(resp *proto.Msg, err error) {
+	var value []byte
+	value, f.version, f.err = client.DecodeGet(resp, f.key)
+	f.value = bytes.Clone(value)
 }
 
 // notACompletion has the name but not the signature: its Msg is owned.
