@@ -6,7 +6,9 @@
 //     per key however many reads miss on it meanwhile, and no goroutine
 //     per miss: a GET parks on its key's flight and is answered by the
 //     fill's completion, on the store connection's reader (see flight);
-//   - forwards PUTs to the owning store shard (writes bypass the cache);
+//   - forwards PUTs to the owning store shard (writes bypass the cache),
+//     the same way: started from the read loop, answered from the store
+//     connection's reader (see putRelay);
 //   - subscribes to every store shard's batched invalidate/update pushes
 //     and applies them, detecting lost epochs per shard and
 //     resynchronizing only that shard's keys;
@@ -516,10 +518,12 @@ func (s *Server) classify(key string, e *kv.Entry, found, fresh bool, now time.T
 type flight struct {
 	s   *Server
 	key string
-	// tr and start belong to a leader that started FillAsync: its span
-	// gets the store's hop, and fillRTT its round trip.
+	// tr, start and owner belong to a leader that started FillAsync: its
+	// span gets the store's hop, fillRTT its round trip, and a failover
+	// retries only if the ring no longer routes the key to owner.
 	tr    *proto.SpanRec
 	start time.Time
+	owner *client.Client
 
 	found  bool // some joiner probed a resident (stale) copy
 	voided bool
@@ -569,7 +573,7 @@ func (f *flight) wait() chan struct{} {
 // the connection's read loop: join or lead the key's flight and return.
 // The answer is sent by whoever settles the flight.
 func (s *Server) parkGet(cs *connState, m *proto.Msg, tr *proto.SpanRec, found bool) {
-	cs.acquire()
+	cs.Acquire()
 	s.fillMu.Lock()
 	f, lead := s.joinLocked(m.Key, found)
 	f.parked = append(f.parked, parkedGet{cs: cs, seq: m.Seq, tr: tr})
@@ -584,8 +588,10 @@ func (s *Server) parkGet(cs *connState, m *proto.Msg, tr *proto.SpanRec, found b
 // is merged into tr, so the client's hop tree shows where the miss spent
 // its time.
 func (f *flight) lead(tr *proto.SpanRec) {
-	f.tr, f.start = tr, time.Now()
-	f.s.stores.FillAsync(f.key, tr.ID(), f)
+	// The owner is on record before the fill starts: Complete may run
+	// before FillAsync returns.
+	f.tr, f.start, f.owner = tr, time.Now(), f.s.stores.For(f.key)
+	f.owner.FillAsync(f.key, tr.ID(), f)
 }
 
 // Complete runs on the store connection's reader, which serves every fill
@@ -603,15 +609,15 @@ func (f *flight) Complete(resp *proto.Msg, err error) {
 	case errors.Is(err, client.ErrClosed):
 		f.err = err
 	default:
-		go f.failover()
+		go f.failover(err)
 		return
 	}
 	f.landed()
 }
 
-func (f *flight) failover() {
+func (f *flight) failover(err error) {
 	var ft *proto.Trace
-	f.value, f.version, ft, f.err = f.s.stores.FillTraced(f.key, f.tr.ID())
+	f.value, f.version, ft, f.err = f.s.stores.FillRetry(f.owner, f.key, f.tr.ID(), err)
 	f.tr.Add(ft)
 	f.landed()
 }
@@ -695,14 +701,76 @@ func (s *Server) voidOwnedFills(owned func(key string) bool) {
 // Put forwards a write to the store shard owning key (writes bypass the
 // cache).
 func (s *Server) Put(key string, value []byte) (uint64, error) {
-	return s.put(key, value, nil)
+	s.c.Puts.Inc()
+	return s.stores.Put(key, value)
 }
 
-func (s *Server) put(key string, value []byte, tr *proto.SpanRec) (uint64, error) {
+// putRelay is one client PUT in flight to its owning store — the same
+// record, with the same rules, as the balancer's (lb.putRelay): started
+// from the connection's read loop with the reader's own value, answered
+// from the store connection's reader, and holding a scratch copy of the
+// value only for the blocking retry a broken store connection calls for.
+type putRelay struct {
+	cs    *connState
+	seq   uint64
+	key   string
+	tr    *proto.SpanRec
+	owner *client.Client // the store the PUT was started on
+	value []byte
+}
+
+var putRelayPool = sync.Pool{New: func() any { return new(putRelay) }}
+
+// maxPooledPutValue keeps a one-off giant PUT from pinning its scratch
+// copy in the pool.
+const maxPooledPutValue = 1 << 20
+
+// relayPut forwards a PUT from the read loop; (*putRelay).Complete answers.
+func (s *Server) relayPut(cs *connState, m *proto.Msg, tr *proto.SpanRec) {
 	s.c.Puts.Inc()
-	version, pt, err := s.stores.PutTraced(key, value, tr.ID())
-	tr.Add(pt)
-	return version, err
+	cs.Acquire()
+	p := putRelayPool.Get().(*putRelay)
+	p.cs, p.seq, p.key, p.tr = cs, m.Seq, m.Key, tr
+	p.value = append(p.value[:0], m.Value...)
+	p.owner = s.stores.For(m.Key)
+	p.owner.PutAsync(m.Key, m.Value, tr.ID(), p)
+}
+
+// Complete runs on the store connection's reader and must not block: a
+// transport failure sends this PUT alone to a goroutine for the blocking
+// ring refresh and retry.
+func (p *putRelay) Complete(resp *proto.Msg, err error) {
+	var version uint64
+	switch {
+	case err == nil:
+		p.tr.Add(resp.Trace)
+		version, err = client.DecodePut(resp, p.key)
+	case !errors.Is(err, client.ErrClosed):
+		go p.failover(err)
+		return
+	}
+	p.answer(version, err)
+}
+
+func (p *putRelay) failover(err error) {
+	version, st, err := p.cs.s.stores.PutRetry(p.owner, p.key, p.value, p.tr.ID(), err)
+	p.tr.Add(st)
+	p.answer(version, err)
+}
+
+func (p *putRelay) answer(version uint64, err error) {
+	resp := proto.GetMsg()
+	resp.Seq = p.seq
+	if err != nil {
+		resp.Type, resp.Err = proto.MsgErr, err.Error()
+	} else {
+		resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, version
+	}
+	p.cs.answer(p.tr, resp)
+	*p = putRelay{value: p.value[:0]}
+	if cap(p.value) <= maxPooledPutValue {
+		putRelayPool.Put(p)
+	}
 }
 
 // readStripes is the number of independently locked read-count tables —
@@ -835,12 +903,14 @@ func (s *Server) runSubscription(ctx context.Context, sub *shardSub) error {
 	if idle < time.Second {
 		idle = time.Second
 	}
+	// One Msg for every push: applyBatch keeps nothing of it (kv.Update
+	// copies the values it installs), so the next read may overwrite it.
+	var m proto.Msg
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
 			return fmt.Errorf("setting read deadline: %w", err)
 		}
-		m, err := r.ReadMsg()
-		if err != nil {
+		if err := r.ReadMsgInto(&m); err != nil {
 			if errors.Is(err, io.EOF) {
 				return errors.New("store closed the subscription")
 			}
@@ -855,7 +925,7 @@ func (s *Server) runSubscription(ctx context.Context, sub *shardSub) error {
 			s.resync(sub)
 		}
 		sub.lastEpoch = m.Epoch
-		s.applyBatch(m)
+		s.applyBatch(&m)
 	}
 }
 
@@ -878,10 +948,9 @@ func (s *Server) applyBatch(m *proto.Msg) {
 				s.c.InvalidatesApplied.Inc()
 			}
 		case proto.BatchUpdate:
-			// Copy: op.Value aliases the reader buffer.
-			v := make([]byte, len(op.Value))
-			copy(v, op.Value)
-			if s.kv.Update(op.Key, v, op.Version) {
+			// op.Value aliases the reader's buffer: Update copies it, and
+			// only once it knows the copy will be installed.
+			if s.kv.Update(op.Key, op.Value, op.Version) {
 				s.c.UpdatesApplied.Inc()
 			} else {
 				// Not resident, so the update is dropped (the paper's
@@ -901,45 +970,21 @@ func (s *Server) applyBatch(m *proto.Msg) {
 // client connection; beyond it the read loop exerts backpressure.
 const maxConnInflight = 256
 
-// connState is one client connection's outgoing queue plus the requests
-// still to be answered off the read loop: parked on a flight, or carried
-// on by a goroutine.
+// connState is what one client connection's read loop shares with the
+// completions and goroutines answering on it: the queue to its writer,
+// holding one slot (maxConnInflight) per request still to be answered off
+// the read loop — parked on a flight, relayed to a store, or carried on by
+// a goroutine.
 type connState struct {
-	s   *Server
-	out chan proto.Outgoing
-	// sem holds one slot per such request (maxConnInflight); carrying
-	// waits them all out before out is closed.
-	sem      chan struct{}
-	carrying sync.WaitGroup
-}
-
-func (cs *connState) acquire() {
-	cs.sem <- struct{}{}
-	cs.carrying.Add(1)
-}
-
-func (cs *connState) release() {
-	<-cs.sem
-	cs.carrying.Done()
+	s *Server
+	*proto.ReplyQueue
 }
 
 // answer closes tr's hop span on resp and queues it as the response to a
 // request acquired on cs, without ever waiting for this client: it runs
 // on store connections' readers, which every client connection shares.
 func (cs *connState) answer(tr *proto.SpanRec, resp *proto.Msg) {
-	o := proto.Outgoing{Msg: cs.s.finishTrace(tr, resp), Pooled: true}
-	select {
-	case cs.out <- o:
-		cs.release()
-	default:
-		// This client is not draining its responses. Park the one frame
-		// on a goroutine (at most maxConnInflight of them: the slot is
-		// held until the frame is queued) instead of stalling the caller.
-		go func() {
-			cs.out <- o
-			cs.release()
-		}()
-	}
+	cs.Answer(proto.Outgoing{Msg: cs.s.finishTrace(tr, resp), Pooled: true})
 }
 
 // handleConn serves one client connection run-to-completion: the read
@@ -949,31 +994,28 @@ func (cs *connState) answer(tr *proto.SpanRec, resp *proto.Msg) {
 // coalescing writer's queue (a burst of responses costs one flush, not
 // one syscall each). A GET that misses is started there too: it parks on
 // its key's flight (parkGet) and is answered from the store connection's
-// reader. Only a forwarded write and an MGET's misses, whose sharded
-// store calls block, go on to a goroutine of their own (carryOn). None of
-// them stalls the pipelined requests queued behind it, so responses may
-// overtake one another; each echoes its request's Seq for the client to
-// demux.
+// reader, and so is a forwarded PUT (relayPut). Only a batched write and an
+// MGET's misses, whose sharded store calls block, go on to a goroutine of
+// their own (carryOn). None of them stalls the pipelined requests queued
+// behind it, so responses may overtake one another; each echoes its
+// request's Seq for the client to demux.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.wg.Done()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	cs := &connState{
-		s:   s,
-		out: make(chan proto.Outgoing, 64),
-		sem: make(chan struct{}, maxConnInflight),
-	}
+	// 64 frames: a pipelined burst of answers coalesces into one flush.
+	cs := &connState{s: s, ReplyQueue: proto.NewReplyQueue(64, maxConnInflight)}
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		proto.WriteQueue(conn, cs.out, conn)
+		proto.WriteQueue(conn, cs.Out, conn)
 	}()
 
 	// One request Msg reused across the whole connection: dispatch either
-	// answers before returning or copies what the parked or carried-on
-	// part keeps (values are copied, keys are interned strings), so
-	// nothing aliases m once it returns.
+	// answers before returning or copies what the parked, relayed or
+	// carried-on part keeps (values are copied, keys are interned
+	// strings), so nothing aliases m once it returns.
 	var m proto.Msg
 	r := proto.NewReader(conn)
 	for {
@@ -986,11 +1028,10 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		}
 		tr := proto.StartSpan(&m, s.spanName)
 		if resp := s.dispatch(&m, cs, tr); resp != nil {
-			cs.out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
+			cs.Out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
 		}
 	}
-	cs.carrying.Wait()
-	close(cs.out)
+	cs.Close()
 	<-writerDone
 	conn.Close()
 }
@@ -1000,10 +1041,10 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 // whose non-blocking part the read loop has already done. It returns nil
 // — dispatch's "no response yet".
 func (s *Server) carryOn(cs *connState, tr *proto.SpanRec, fn func() *proto.Msg) *proto.Msg {
-	cs.acquire()
+	cs.Acquire()
 	go func() {
-		defer cs.release()
-		cs.out <- proto.Outgoing{Msg: s.finishTrace(tr, fn()), Pooled: true}
+		defer cs.Release()
+		cs.Out <- proto.Outgoing{Msg: s.finishTrace(tr, fn()), Pooled: true}
 	}()
 	return nil
 }
@@ -1035,8 +1076,8 @@ func getResp(seq uint64, value []byte, version uint64, err error) *proto.Msg {
 }
 
 // dispatch runs on the connection's read loop. It returns the response,
-// or nil after parking the request on a flight or handing its blocking
-// remainder to carryOn.
+// or nil after parking the request on a flight, relaying it to a store or
+// handing its blocking remainder to carryOn.
 // m is the reader's: valid only until dispatch returns.
 func (s *Server) dispatch(m *proto.Msg, cs *connState, tr *proto.SpanRec) *proto.Msg {
 	switch m.Type {
@@ -1048,20 +1089,8 @@ func (s *Server) dispatch(m *proto.Msg, cs *connState, tr *proto.SpanRec) *proto
 		s.parkGet(cs, m, tr, found)
 		return nil
 	case proto.MsgPut:
-		// The value aliases the reader's buffer, which the next read
-		// overwrites while the store round trip is still running.
-		seq, key, value := m.Seq, m.Key, append([]byte(nil), m.Value...)
-		return s.carryOn(cs, tr, func() *proto.Msg {
-			version, err := s.put(key, value, tr)
-			resp := proto.GetMsg()
-			resp.Seq = seq
-			if err != nil {
-				resp.Type, resp.Err = proto.MsgErr, err.Error()
-				return resp
-			}
-			resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, version
-			return resp
-		})
+		s.relayPut(cs, m, tr)
+		return nil
 	case proto.MsgMGet:
 		s.c.MGetKeys.Add(uint64(len(m.Keys)))
 		s.batchSize.Observe(float64(len(m.Keys)))

@@ -18,16 +18,16 @@ import (
 // stubStore is an authority the test scripts: it answers the
 // subscription handshake and then stays silent, serves fills from a
 // table (parking any fill that touches a key in slow until release is
-// closed, answering MsgErr when refuse is set), counts the FILL and MFILL
-// frames it is sent, records every read report, and kill severs
-// everything mid-flight.
+// closed, answering MsgErr when refuse is set), acknowledges PUTs at version
+// 7 under the same two rules, counts the FILL, MFILL and PUT frames it is
+// sent, records every read report, and kill severs everything mid-flight.
 type stubStore struct {
 	ln      net.Listener
 	slow    map[string]bool
 	release chan struct{}
 	refuse  bool // set before the first fill
 
-	fills, mfills atomic.Int64 // frames read
+	fills, mfills, puts atomic.Int64 // frames read
 
 	mu      sync.Mutex
 	values  map[string]string
@@ -118,6 +118,17 @@ func (s *stubStore) serve(conn net.Conn) {
 				resp = &proto.Msg{Type: proto.MsgErr, Seq: m.Seq, Err: "stub: refused"}
 			}
 			s.fills.Add(1)
+			if s.slow[m.Key] {
+				go func() { <-s.release; reply(resp) }()
+				continue
+			}
+			reply(resp)
+		case proto.MsgPut:
+			resp := &proto.Msg{Type: proto.MsgPutResp, Seq: m.Seq, Status: proto.StatusOK, Version: 7, Trace: m.Trace}
+			if s.refuse {
+				resp = &proto.Msg{Type: proto.MsgErr, Seq: m.Seq, Err: "stub: refused"}
+			}
+			s.puts.Add(1)
 			if s.slow[m.Key] {
 				go func() { <-s.release; reply(resp) }()
 				continue
@@ -498,14 +509,10 @@ func TestParkedGetsAnsweredExactlyOnce(t *testing.T) {
 			for _, c := range conns {
 				c.quiesced()
 			}
-			// One round trip for all of them; a transport failure buys the
-			// flight one retry through the blocking failover path.
-			wantFills := int64(1)
-			if tc.late {
-				wantFills = 2
-			}
-			if got := st.fills.Load(); got != wantFills {
-				t.Errorf("%d FILLs on the wire, want %d", got, wantFills)
+			// One round trip for all of them: a transport failure buys the
+			// flight a retry only when a ring refresh moved the key.
+			if got := st.fills.Load(); got != 1 {
+				t.Errorf("%d FILLs on the wire, want 1", got)
 			}
 			// Installed only when found; the stale copy of a key deleted
 			// upstream is dropped.
@@ -763,5 +770,105 @@ func TestParkedGetsFailOverToPromotedOwner(t *testing.T) {
 	// not as fresh.
 	if _, resident, fresh := ca.KV().Get("k", time.Now()); !resident || fresh {
 		t.Errorf("afterwards resident=%v fresh=%v, want a stale copy", resident, fresh)
+	}
+}
+
+// A PUT is relayed from the read loop and answered from the store
+// connection's reader like a parked GET: exactly once under its own Seq
+// however the store round trip ends, the store asked once, and a stale read
+// pipelined behind it is not held up.
+func TestRelayedPutsAnsweredExactlyOnce(t *testing.T) {
+	const n = 8
+	cases := []struct {
+		name    string
+		refuse  bool
+		timeout time.Duration
+		settle  func(st *stubStore)
+		wantErr string
+		late    bool
+	}{
+		{name: "acknowledged", settle: func(st *stubStore) { close(st.release) }},
+		{name: "store answers MsgErr", refuse: true, settle: func(st *stubStore) { close(st.release) }, wantErr: "stub: refused"},
+		{name: "store dies mid-PUT", settle: (*stubStore).kill, wantErr: "client: "},
+		{name: "PUT times out", timeout: 300 * time.Millisecond, settle: func(*stubStore) {}, wantErr: "timed out", late: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := startStubStore(t, map[string]string{"hit": "v"}, "k")
+			st.refuse = tc.refuse
+			ca, addr := startOverStubTimeout(t, st, tc.timeout)
+			ca.KV().Put("hit", kv.Entry{Value: []byte("v"), Version: 7})
+			c := dialRaw(t, addr)
+			for i := 0; i < n; i++ {
+				c.send(&proto.Msg{Type: proto.MsgPut, Key: "k", Value: []byte(fmt.Sprintf("v%d", i))})
+			}
+			waitFor(t, 5*time.Second, func() bool { return st.puts.Load() == n }, "the PUTs to reach the store")
+			hit := c.get("hit")
+			if m := c.recv(); m.Seq != hit || string(m.Value) != "v" {
+				t.Fatalf("the hit behind the parked PUTs answered %+v", m)
+			}
+			tc.settle(st)
+			seen := make(map[uint64]bool)
+			for i := 0; i < n; i++ {
+				m := c.recv()
+				if m.Seq < 1 || m.Seq > n || seen[m.Seq] {
+					t.Errorf("answer %d is for Seq %d (again: %v)", i, m.Seq, seen[m.Seq])
+				}
+				seen[m.Seq] = true
+				switch {
+				case tc.wantErr != "":
+					if m.Type != proto.MsgErr || !strings.Contains(m.Err, tc.wantErr) {
+						t.Errorf("answered %v %q, want a MsgErr mentioning %q", m.Type, m.Err, tc.wantErr)
+					}
+				case m.Type != proto.MsgPutResp || m.Status != proto.StatusOK || m.Version != 7:
+					t.Errorf("answered %+v, want version 7", m)
+				}
+			}
+			if tc.late {
+				close(st.release)
+				time.Sleep(50 * time.Millisecond)
+			}
+			c.quiesced()
+			if got := st.puts.Load(); got != n {
+				t.Errorf("%d PUTs on the wire, want %d", got, n)
+			}
+			if got := ca.StatsMap()["puts"]; got != n {
+				t.Errorf("puts = %d, want %d", got, n)
+			}
+			closeReturns(t, ca)
+		})
+	}
+}
+
+// In cluster mode a PUT whose owner dies under it is re-sent, from the
+// relay's own copy of the value, to the owner a ring refresh promotes.
+func TestRelayedPutFailsOverToPromotedOwner(t *testing.T) {
+	dying := startStubStore(t, map[string]string{}, "k")
+	promoted := startStubStore(t, map[string]string{})
+	coord, publish := startStubCoord(t)
+	publish(1, dying.ln.Addr().String())
+	ca, err := New(Config{ClusterAddr: coord, T: time.Hour, WatchInterval: time.Hour,
+		Name: "rtc-cache", Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dialRaw(t, serveCache(t, ca))
+	seq := c.send(&proto.Msg{Type: proto.MsgPut, Key: "k", Value: []byte("v"), Trace: &proto.Trace{ID: 8}})
+	waitFor(t, 5*time.Second, func() bool { return dying.puts.Load() == 1 }, "the PUT to reach the doomed owner")
+	publish(2, promoted.ln.Addr().String())
+	dying.kill()
+	m := c.recv()
+	if m.Seq != seq || m.Type != proto.MsgPutResp || m.Version != 7 {
+		t.Fatalf("answered %+v %q, want the promoted owner's acknowledgement", m, m.Err)
+	}
+	if m.Trace == nil || len(m.Trace.Spans) != 1 || m.Trace.Spans[0].Node != "cache:rtc-cache" {
+		t.Errorf("trace = %+v, want the cache's span", m.Trace)
+	}
+	c.quiesced()
+	if sm := ca.StatsMap(); sm["failovers"] != 1 || sm["ring_epoch"] != 2 {
+		t.Errorf("failovers = %d, ring epoch = %d, want 1 and 2", sm["failovers"], sm["ring_epoch"])
+	}
+	if got := promoted.puts.Load(); got != 1 {
+		t.Errorf("the promoted owner was sent %d PUTs, want 1", got)
 	}
 }

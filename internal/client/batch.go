@@ -67,8 +67,8 @@ func (c *Client) mget(t proto.MsgType, keys []string, traceID uint64) ([]MGetRes
 
 // MGetAsync is MGet without the wait — GetAsync's contract, cold-slot
 // fallback included, for a batch: done is called exactly once with the
-// lent response (DecodeMGet reads it) or the transport error. keys must
-// stay untouched until then.
+// lent response (DecodeMGet reads it) or the transport error. keys is
+// lent until MGetAsync returns.
 func (c *Client) MGetAsync(keys []string, traceID uint64, done Completion) {
 	req := newReq(proto.MsgMGet)
 	req.Keys = keys
@@ -98,20 +98,26 @@ func mgetResults(resp *proto.Msg, keys []string) ([]MGetResult, error) {
 // key in request order, BatchUpdate for a found key. They are borrowed
 // from resp, values and all.
 func DecodeMGet(resp *proto.Msg, keys []string) ([]proto.BatchOp, error) {
+	return decodeBatch(resp, proto.MsgMGetResp, "MGET", keys)
+}
+
+// decodeBatch is the one check of a batched response against the keys
+// requested: its type, one op per key, in request order.
+func decodeBatch(resp *proto.Msg, want proto.MsgType, verb string, keys []string) ([]proto.BatchOp, error) {
 	if err := serverErr(resp); err != nil {
 		return nil, err
 	}
-	if resp.Type != proto.MsgMGetResp {
-		return nil, fmt.Errorf("client: unexpected response %v to MGET", resp.Type)
+	if resp.Type != want {
+		return nil, fmt.Errorf("client: unexpected response %v to %s", resp.Type, verb)
 	}
 	if len(resp.Ops) != len(keys) {
-		return nil, fmt.Errorf("client: MGET answered %d keys for %d requested",
-			len(resp.Ops), len(keys))
+		return nil, fmt.Errorf("client: %s answered %d keys for %d requested",
+			verb, len(resp.Ops), len(keys))
 	}
 	for i := range resp.Ops {
 		if resp.Ops[i].Key != keys[i] {
-			return nil, fmt.Errorf("client: MGET response out of order: key %q at slot %d (want %q)",
-				resp.Ops[i].Key, i, keys[i])
+			return nil, fmt.Errorf("client: %s response out of order: key %q at slot %d (want %q)",
+				verb, resp.Ops[i].Key, i, keys[i])
 		}
 	}
 	return resp.Ops, nil
@@ -153,24 +159,43 @@ func (c *Client) mput(keys []string, values [][]byte, traceID uint64) ([]MPutRes
 	}
 	tr := resp.Trace
 	defer proto.PutMsg(resp)
-	if resp.Type != proto.MsgMPutResp {
-		return nil, nil, fmt.Errorf("client: unexpected response %v to MPUT", resp.Type)
-	}
-	if len(resp.Ops) != len(keys) {
-		return nil, nil, fmt.Errorf("client: MPUT answered %d keys for %d requested",
-			len(resp.Ops), len(keys))
+	ops, err := DecodeMPut(resp, keys)
+	if err != nil {
+		return nil, nil, err
 	}
 	out := make([]MPutResult, len(keys))
-	for i, op := range resp.Ops {
-		if op.Key != keys[i] {
-			return nil, nil, fmt.Errorf("client: MPUT response out of order: key %q at slot %d (want %q)",
-				op.Key, i, keys[i])
-		}
+	for i, op := range ops {
 		if op.Kind == proto.BatchInvalidate {
-			out[i] = MPutResult{Err: fmt.Errorf("%w: MPUT of %q failed upstream", ErrServer, op.Key)}
+			out[i] = MPutResult{Err: MPutKeyError(op.Key)}
 			continue
 		}
 		out[i] = MPutResult{Version: op.Version}
 	}
 	return out, tr, nil
+}
+
+// MPutAsync is MPut without the wait — GetAsync's contract, cold-slot
+// fallback included, for a batched write: done is called exactly once with
+// the lent response (DecodeMPut reads it) or the transport error. ops —
+// BatchUpdate, key, value — and their values are lent until MPutAsync
+// returns.
+func (c *Client) MPutAsync(ops []proto.BatchOp, traceID uint64, done Completion) {
+	req := newReq(proto.MsgMPut)
+	req.Ops = ops
+	c.startAsync(req, traceID, done)
+}
+
+// DecodeMPut checks an MPUT's response against the keys written, exactly
+// as MPut would, request-level server errors included, and returns its
+// ops: one per key in request order, carrying the assigned version, or of
+// kind BatchInvalidate for a key whose write failed upstream
+// (MPutKeyError). They are borrowed from resp.
+func DecodeMPut(resp *proto.Msg, keys []string) ([]proto.BatchOp, error) {
+	return decodeBatch(resp, proto.MsgMPutResp, "MPUT", keys)
+}
+
+// MPutKeyError is the per-key failure a BatchInvalidate op in an MPUT's
+// response stands for.
+func MPutKeyError(key string) error {
+	return fmt.Errorf("%w: MPUT of %q failed upstream", ErrServer, key)
 }

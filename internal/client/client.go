@@ -9,10 +9,13 @@
 // writes. Concurrent calls share connections instead of queueing behind
 // them, and request timeouts are per-request deadlines swept by a
 // janitor, so one slow request does not poison a shared connection.
-// Blocking calls park only the caller's own goroutine; GetAsync,
-// MGetAsync and FillAsync park none — a proxy relays (or, for a scattered
-// batch, gathers; or, for a miss fill, installs) the response from inside
-// the completion.
+// Blocking calls park only the caller's own goroutine; the asynchronous
+// verbs (GetAsync, MGetAsync, FillAsync, PutAsync, MPutAsync, RestoreAsync)
+// park none — a proxy relays (or, for a scattered batch, gathers; for a miss
+// fill, installs; for a replicated write, counts down) the response from
+// inside the completion. Whatever request bytes an asynchronous verb is
+// handed — a value, keys, ops — are lent until the call returns: the frame
+// is encoded before then, so the caller may pass its own reader's buffer.
 //
 // Every verb, blocking or asynchronous, has one body taking a trace ID,
 // where 0 means untraced: no proto.Trace is allocated or sent and the
@@ -23,7 +26,8 @@
 // values remain valid after the next call. A Completion is instead lent
 // the response in place (see Completion for the rule); DecodeGet and
 // DecodeMGet read it there, as borrowed views, exactly as the blocking
-// call would have.
+// call would have; DecodePut, DecodeMPut and DecodeRestore do the same for
+// the write verbs.
 package client
 
 import (
@@ -197,7 +201,10 @@ func (c *Client) FillAsync(key string, traceID uint64, done Completion) {
 	c.startAsync(req, traceID, done)
 }
 
-// startAsync is the one body of the asynchronous verbs. It owns req.
+// startAsync is the one body of the asynchronous verbs. It owns req, but
+// only borrows the bytes req points at (see the package comment): on a
+// live connection they are encoded before it returns, and the cold-slot
+// fallback takes its own copy before it spawns.
 func (c *Client) startAsync(req *proto.Msg, traceID uint64, done Completion) {
 	if traceID != 0 {
 		req.Trace = &proto.Trace{ID: traceID}
@@ -206,9 +213,11 @@ func (c *Client) startAsync(req *proto.Msg, traceID uint64, done Completion) {
 		proto.PutMsg(req)
 		return
 	}
+	own := ownedCopy(req)
+	proto.PutMsg(req)
 	go func() {
-		resp, err := c.tr.roundTrip(req)
-		proto.PutMsg(req)
+		resp, err := c.tr.roundTrip(own)
+		proto.PutMsg(own)
 		done.Complete(resp, err)
 		proto.PutMsg(resp)
 	}()
@@ -262,19 +271,46 @@ func (c *Client) put(key string, value []byte, traceID uint64) (uint64, *proto.T
 		return 0, nil, err
 	}
 	defer proto.PutMsg(resp)
-	if resp.Type != proto.MsgPutResp || resp.Status != proto.StatusOK {
-		return 0, nil, fmt.Errorf("client: PUT %q failed: %v/%v", key, resp.Type, resp.Status)
+	version, err := DecodePut(resp, key)
+	if err != nil {
+		return 0, nil, err
 	}
-	return resp.Version, resp.Trace, nil
+	return version, resp.Trace, nil
+}
+
+// PutAsync is Put without the wait — GetAsync's contract, cold-slot
+// fallback included: done is called exactly once with the lent response
+// (DecodePut reads it) or the transport error. value is lent until
+// PutAsync returns.
+func (c *Client) PutAsync(key string, value []byte, traceID uint64, done Completion) {
+	req := newReq(proto.MsgPut)
+	req.Key, req.Value = key, value
+	c.startAsync(req, traceID, done)
+}
+
+// DecodePut reads a PUT's response — the one lent to a PutAsync
+// completion, say — exactly as Put would have returned it, request-level
+// server errors included.
+func DecodePut(resp *proto.Msg, key string) (uint64, error) {
+	if err := serverErr(resp); err != nil {
+		return 0, err
+	}
+	if resp.Type != proto.MsgPutResp || resp.Status != proto.StatusOK {
+		return 0, fmt.Errorf("client: PUT %q failed: %v/%v", key, resp.Type, resp.Status)
+	}
+	return resp.Version, nil
 }
 
 // expectPong consumes (and releases) resp, checking for a MsgPong reply
 // to the named verb.
 func expectPong(resp *proto.Msg, verb string) error {
-	t := resp.Type
-	proto.PutMsg(resp)
-	if t != proto.MsgPong {
-		return fmt.Errorf("client: unexpected response %v to %s", t, verb)
+	defer proto.PutMsg(resp)
+	return checkPong(resp, verb)
+}
+
+func checkPong(resp *proto.Msg, verb string) error {
+	if resp.Type != proto.MsgPong {
+		return fmt.Errorf("client: unexpected response %v to %s", resp.Type, verb)
 	}
 	return nil
 }
@@ -472,6 +508,26 @@ func (c *Client) Restore(ops []proto.BatchOp, freqs []proto.KeyFreq, fence uint6
 		return err
 	}
 	return expectPong(resp, "restore push")
+}
+
+// RestoreAsync is Restore without the wait — GetAsync's contract,
+// cold-slot fallback included: done is called exactly once with the lent
+// response (DecodeRestore reads it) or the transport error. ops, their
+// values and freqs are lent until RestoreAsync returns. traceID rides on
+// the wire (0 = untraced), so a traced write shows its replica's hop.
+func (c *Client) RestoreAsync(ops []proto.BatchOp, freqs []proto.KeyFreq, fence, traceID uint64, done Completion) {
+	req := newReq(proto.MsgRepWrite)
+	req.Ops, req.Freqs, req.Version = ops, freqs, fence
+	c.startAsync(req, traceID, done)
+}
+
+// DecodeRestore reads a restore push's response exactly as Restore would
+// have returned it, request-level server errors included.
+func DecodeRestore(resp *proto.Msg) error {
+	if err := serverErr(resp); err != nil {
+		return err
+	}
+	return checkPong(resp, "restore push")
 }
 
 // Adopt commands a store (addressed as identity self under the

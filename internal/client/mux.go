@@ -27,7 +27,7 @@ import (
 // frame. A blocking call is that primitive with a completion that copies
 // the response and sends it on a channel (muxConn.do); a proxy relays
 // from inside the completion and never parks a goroutine on the request
-// (Client.GetAsync, Client.MGetAsync).
+// (Client.startAsync).
 //
 // Timeouts are deadline sweeps, not per-request timers: each pending
 // request records its deadline and a per-connection janitor expires
@@ -264,10 +264,11 @@ func (w *waiter) Complete(resp *proto.Msg, err error) {
 	w.ch <- muxResult{m: ownedCopy(resp), err: err} // buffered; never blocks
 }
 
-// ownedCopy clones a lent response into a pooled Msg the caller owns
-// (and releases via proto.PutMsg): the value, and a batched response's
-// op values, alias the reader's buffer, and the Ops/Keys/Reports/Freqs
-// slices are reused by the reader's next decode. Op values are copied
+// ownedCopy clones a lent Msg — a response, or the request of an
+// asynchronous verb that must outlive its call — into a pooled Msg the
+// caller owns (and releases via proto.PutMsg): the value, and a batch's
+// op values, alias the lender's buffer, and the Ops/Keys/Reports/Freqs
+// slices are reused by the lender's next decode. Op values are copied
 // through one backing buffer — one allocation per batch, not per key.
 // Everything else reachable from a response (Stats, Nodes, Trace,
 // interned strings) is freshly allocated per frame and safe to share.

@@ -627,8 +627,7 @@ func TestGetAsyncColdAndServerErrors(t *testing.T) {
 }
 
 // FillAsync is GetAsync with the cache-internal verb on the wire — cold
-// slot and live connection alike — and the sharded client starts it on the
-// key's owner.
+// slot and live connection alike — started on the key's owner.
 func TestFillAsyncSendsFill(t *testing.T) {
 	var fills atomic.Int64
 	s := startMuxTestServer(t, func(m *proto.Msg) *proto.Msg {
@@ -644,7 +643,7 @@ func TestFillAsyncSendsFill(t *testing.T) {
 	defer sh.Close()
 	for i, key := range []string{"cold", "warm"} {
 		r := newRecorder(key, nil)
-		sh.FillAsync(key, 0, r)
+		sh.For(key).FillAsync(key, 0, r)
 		if rec := r.wait(t); rec.err != nil || rec.value != key {
 			t.Fatalf("FillAsync(%q) got %q, %v", key, rec.value, rec.err)
 		}
@@ -761,5 +760,155 @@ func TestMGetAsyncColdAndServerErrors(t *testing.T) {
 	dead.MGetAsync(r.keys, 0, r)
 	if rec := r.wait(t); rec.err == nil {
 		t.Error("MGetAsync to a dead address completed without an error")
+	}
+}
+
+// doneFunc adapts a func to Completion.
+type doneFunc func(resp *proto.Msg, err error)
+
+func (f doneFunc) Complete(resp *proto.Msg, err error) { f(resp, err) }
+
+// The asynchronous write verbs — PutAsync, MPutAsync, RestoreAsync — put the
+// same frames on the wire as their blocking twins, their Decode functions
+// return what the twins return, and the request bytes are only borrowed: the
+// caller overwrites its buffers the moment each call returns, on a cold slot
+// (the fallback goroutine has yet to dial) and on a live connection alike.
+func TestAsyncWriteVerbsBorrowTheirRequest(t *testing.T) {
+	type seen struct {
+		typ   proto.MsgType
+		key   string
+		value string
+		ops   []string // key=value@version
+		freqs int
+		trace uint64
+	}
+	got := make(chan seen, 16)
+	s := startMuxTestServer(t, func(m *proto.Msg) *proto.Msg {
+		sn := seen{typ: m.Type, key: m.Key, value: string(m.Value), freqs: len(m.Freqs)}
+		if m.Trace != nil {
+			sn.trace = m.Trace.ID
+		}
+		for _, op := range m.Ops {
+			sn.ops = append(sn.ops, fmt.Sprintf("%s=%s@%d", op.Key, op.Value, op.Version))
+		}
+		got <- sn
+		switch {
+		case m.Key == "refused":
+			return &proto.Msg{Type: proto.MsgErr, Err: "no"}
+		case m.Type == proto.MsgPut:
+			return &proto.Msg{Type: proto.MsgPutResp, Status: proto.StatusOK, Version: 9}
+		case m.Type == proto.MsgMPut:
+			resp := &proto.Msg{Type: proto.MsgMPutResp}
+			for i, op := range m.Ops {
+				o := proto.BatchOp{Kind: proto.BatchUpdate, Key: op.Key, Version: uint64(i + 1)}
+				if op.Key == "bad" {
+					o = proto.BatchOp{Kind: proto.BatchInvalidate, Key: op.Key}
+				}
+				resp.Ops = append(resp.Ops, o)
+			}
+			return resp
+		case m.Type == proto.MsgRepWrite:
+			return &proto.Msg{Type: proto.MsgPong}
+		}
+		return echoHandler(m)
+	}, 0)
+
+	for _, phase := range []string{"cold", "live"} {
+		live := New(s.addr(), Options{MaxConns: 1})
+		defer live.Close()
+		if err := live.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+		// client returns one whose slot is still to be dialed, or the live one.
+		client := func() *Client {
+			if phase == "live" {
+				return live
+			}
+			c := New(s.addr(), Options{MaxConns: 1})
+			t.Cleanup(func() { c.Close() })
+			return c
+		}
+		type outcome struct {
+			version uint64
+			ops     []proto.BatchOp
+			err     error
+		}
+		done := make(chan outcome, 1)
+		wait := func(what string) (outcome, seen) {
+			t.Helper()
+			var o outcome
+			var sn seen
+			for i := 0; i < 2; i++ {
+				select {
+				case o = <-done:
+				case sn = <-got:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s %s: the request reached the server and completed only in part: %+v, %+v", phase, what, o, sn)
+				}
+			}
+			return o, sn
+		}
+
+		value := []byte("first")
+		client().PutAsync("k", value, 7, doneFunc(func(resp *proto.Msg, err error) {
+			o := outcome{err: err}
+			if err == nil {
+				o.version, o.err = DecodePut(resp, "k")
+			}
+			done <- o
+		}))
+		copy(value, "XXXXX")
+		if o, sn := wait("PutAsync"); o.err != nil || o.version != 9 || sn.typ != proto.MsgPut || sn.value != "first" || sn.trace != 7 {
+			t.Errorf("%s PutAsync: answered %d, %v; the server saw %+v", phase, o.version, o.err, sn)
+		}
+		client().PutAsync("refused", nil, 0, doneFunc(func(resp *proto.Msg, err error) {
+			if err == nil {
+				_, err = DecodePut(resp, "refused")
+			}
+			done <- outcome{err: err}
+		}))
+		if o, _ := wait("refused PutAsync"); !errors.Is(o.err, ErrServer) {
+			t.Errorf("%s refused PutAsync: %v, want ErrServer", phase, o.err)
+		}
+
+		keys := []string{"a", "bad", "c"}
+		ops := []proto.BatchOp{
+			{Kind: proto.BatchUpdate, Key: "a", Value: []byte("va")},
+			{Kind: proto.BatchUpdate, Key: "bad", Value: []byte("vb")},
+			{Kind: proto.BatchUpdate, Key: "c", Value: []byte("vc")},
+		}
+		client().MPutAsync(ops, 0, doneFunc(func(resp *proto.Msg, err error) {
+			o := outcome{err: err}
+			if err == nil {
+				var res []proto.BatchOp
+				res, o.err = DecodeMPut(resp, keys)
+				o.ops = append(o.ops, res...) // copied: resp is only lent
+			}
+			done <- o
+		}))
+		copy(ops[0].Value, "XX")
+		ops[2] = proto.BatchOp{}
+		o, sn := wait("MPutAsync")
+		if o.err != nil || len(o.ops) != 3 || o.ops[0].Version != 1 || o.ops[1].Kind != proto.BatchInvalidate || o.ops[2].Version != 3 {
+			t.Errorf("%s MPutAsync: answered %+v, %v", phase, o.ops, o.err)
+		}
+		if want := "a=va@0 bad=vb@0 c=vc@0"; sn.typ != proto.MsgMPut || strings.Join(sn.ops, " ") != want {
+			t.Errorf("%s MPutAsync: the server saw %+v, want %s", phase, sn, want)
+		}
+
+		rops := []proto.BatchOp{{Kind: proto.BatchUpdate, Key: "r", Value: []byte("vr"), Version: 41}}
+		freqs := []proto.KeyFreq{{Key: "r", Reads: 3, Writes: 1}}
+		client().RestoreAsync(rops, freqs, 0, 11, doneFunc(func(resp *proto.Msg, err error) {
+			if err == nil {
+				err = DecodeRestore(resp)
+			}
+			done <- outcome{err: err}
+		}))
+		copy(rops[0].Value, "XX")
+		rops[0], freqs[0] = proto.BatchOp{}, proto.KeyFreq{}
+		if o, sn := wait("RestoreAsync"); o.err != nil || sn.typ != proto.MsgRepWrite || strings.Join(sn.ops, " ") != "r=vr@41" || sn.freqs != 1 || sn.trace != 11 {
+			t.Errorf("%s RestoreAsync: %v; the server saw %+v", phase, o.err, sn)
+		}
 	}
 }

@@ -215,66 +215,70 @@ func failoverWorthy(err error) bool {
 // the promoted owner re-applies the same value under a newer version,
 // which the version-ordered stores and caches absorb.)
 func (s *Sharded) keyCall(key string, call func(*Client) error) error {
-	v := s.v.Load()
-	c := v.clients[v.r.Owner(key)]
+	c := s.For(key)
 	err := call(c)
-	if !failoverWorthy(err) {
-		return err
+	if c2 := s.reroute(key, c, err); c2 != nil {
+		return call(c2)
 	}
-	if !s.refreshRing() {
-		return err
+	return err
+}
+
+// reroute is the failover half of a key-addressed call whose attempt on
+// failed ended in err: if err is a transport failure (the owner may be
+// down), the ring is refreshed, and it returns key's owner when that is no
+// longer failed — the one client worth a retry. It returns nil when the
+// error stands: a retry would reach the same node and the same failure.
+func (s *Sharded) reroute(key string, failed *Client, err error) *Client {
+	if !failoverWorthy(err) || !s.refreshRing() {
+		return nil
 	}
-	v2 := s.v.Load()
-	c2 := v2.clients[v2.r.Owner(key)]
-	if c2 == c {
-		return err // same owner; a retry would hit the same failure
+	c := s.For(key)
+	if c == failed {
+		return nil
 	}
 	s.failovers.Add(1)
-	return call(c2)
+	return c
 }
 
 // Get fetches key from its owning shard.
-func (s *Sharded) Get(key string) ([]byte, uint64, error) {
-	value, version, _, err := s.get(proto.MsgGet, key, 0)
+func (s *Sharded) Get(key string) (value []byte, version uint64, err error) {
+	err = s.keyCall(key, func(c *Client) error {
+		value, version, err = c.Get(key)
+		return err
+	})
 	return value, version, err
 }
 
-// FillTraced performs a cache miss fill against key's owning shard,
-// carrying traceID on the wire (0 = untraced: nothing is sent and the
-// returned trace is nil).
-func (s *Sharded) FillTraced(key string, traceID uint64) ([]byte, uint64, *proto.Trace, error) {
-	return s.get(proto.MsgFill, key, traceID)
-}
-
-// FillAsync starts a miss fill against key's owning shard (see
-// Client.FillAsync) and nothing more: there is no goroutine here to block
-// through keyCall's ring refresh. A completion handed a transport error
-// that wants the failover retry runs FillTraced on a goroutine of its own.
-func (s *Sharded) FillAsync(key string, traceID uint64, done Completion) {
-	s.For(key).FillAsync(key, traceID, done)
-}
-
-func (s *Sharded) get(t proto.MsgType, key string, traceID uint64) (value []byte, version uint64, tr *proto.Trace, err error) {
-	err = s.keyCall(key, func(c *Client) error {
-		value, version, tr, err = c.get(t, key, traceID)
-		return err
-	})
-	return value, version, tr, err
+// FillRetry is the failover half of a fill started with
+// For(key).FillAsync — which has no goroutine to block through a ring
+// refresh — and handed the transport error err by the client failed: the
+// completion calls it on a goroutine of its own. It refreshes the ring and
+// fills from key's new owner if there is one; otherwise err stands.
+func (s *Sharded) FillRetry(failed *Client, key string, traceID uint64, err error) ([]byte, uint64, *proto.Trace, error) {
+	c := s.reroute(key, failed, err)
+	if c == nil {
+		return nil, 0, nil, err
+	}
+	return c.get(proto.MsgFill, key, traceID)
 }
 
 // Put writes key to its owning shard.
-func (s *Sharded) Put(key string, value []byte) (uint64, error) {
-	version, _, err := s.PutTraced(key, value, 0)
+func (s *Sharded) Put(key string, value []byte) (version uint64, err error) {
+	err = s.keyCall(key, func(c *Client) error {
+		version, err = c.Put(key, value)
+		return err
+	})
 	return version, err
 }
 
-// PutTraced is Put carrying traceID on the wire (0 = untraced).
-func (s *Sharded) PutTraced(key string, value []byte, traceID uint64) (version uint64, tr *proto.Trace, err error) {
-	err = s.keyCall(key, func(c *Client) error {
-		version, tr, err = c.put(key, value, traceID)
-		return err
-	})
-	return version, tr, err
+// PutRetry is FillRetry for a PUT started with For(key).PutAsync; see
+// keyCall for why re-running the write is safe.
+func (s *Sharded) PutRetry(failed *Client, key string, value []byte, traceID uint64, err error) (uint64, *proto.Trace, error) {
+	c := s.reroute(key, failed, err)
+	if c == nil {
+		return 0, nil, err
+	}
+	return c.put(key, value, traceID)
 }
 
 // ReadReport partitions reports by ring owner and ships each slice to

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -176,5 +178,59 @@ func TestShardedNotFoundDoesNotFailover(t *testing.T) {
 	}
 	if refreshes != 0 {
 		t.Errorf("not-found triggered %d refreshes", refreshes)
+	}
+}
+
+// The retry half of an asynchronous fill or PUT — what a completion handed a
+// transport error runs, on a goroutine of its own — refreshes the ring and
+// tries again only where that helps: on the key's new owner, if it has one.
+// An owner that merely timed out is not asked twice.
+func TestRetryOnlyWhenTheOwnerMoved(t *testing.T) {
+	up, requests := echoServer(t)
+	down := deadAddr(t)
+	s, err := NewSharded([]string{down}, 16, Options{DialTimeout: 100 * time.Millisecond, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	failed := s.For("k")
+	transport := errors.New("client: request timed out")
+	count := func() (n int) {
+		requests.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+
+	// No refresher: the error stands.
+	if _, _, err := s.PutRetry(failed, "k", []byte("v"), 0, transport); err != transport {
+		t.Errorf("PutRetry without a refresher = %v, want the original error", err)
+	}
+	refreshes, nodes := 0, []string{down}
+	s.SetRefresher(func() (RingInfo, bool) {
+		refreshes++
+		return RingInfo{Epoch: uint64(1 + refreshes), Nodes: nodes, VirtualNodes: 16}, true
+	})
+	// A server's answer is no reason to look for another owner.
+	refused := fmt.Errorf("%w: no", ErrServer)
+	if _, _, _, err := s.FillRetry(failed, "k", 0, refused); err != refused || refreshes != 0 {
+		t.Errorf("FillRetry after a server error = %v with %d refreshes, want the error back and none", err, refreshes)
+	}
+	// Refreshed, but the key still lives on the node that failed.
+	if _, _, err := s.PutRetry(failed, "k", []byte("v"), 0, transport); err != transport || refreshes != 1 {
+		t.Errorf("PutRetry with the owner unchanged = %v with %d refreshes, want the original error and 1", err, refreshes)
+	}
+	if s.Failovers() != 0 || count() != 0 {
+		t.Errorf("failovers = %d, requests sent = %d; want none of either", s.Failovers(), count())
+	}
+	// The ring moved the key: one retry, on the new owner.
+	nodes = []string{up}
+	time.Sleep(refreshMinGap)
+	if v, _, err := s.PutRetry(failed, "k", []byte("v"), 0, transport); err != nil || v == 0 {
+		t.Errorf("PutRetry onto the promoted owner = version %d, %v", v, err)
+	}
+	if v, _, _, err := s.FillRetry(failed, "k", 0, transport); err != nil || string(v) != "v" {
+		t.Errorf("FillRetry onto the promoted owner = %q, %v", v, err)
+	}
+	if s.Failovers() != 2 {
+		t.Errorf("failovers = %d, want 2", s.Failovers())
 	}
 }

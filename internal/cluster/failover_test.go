@@ -99,6 +99,16 @@ func TestFailoverPromotesReplica(t *testing.T) {
 	waitFor(t, 5*time.Second, "stores never installed the ring", func() bool {
 		return nodeStats(t, addrA)["ring_epoch"] >= 1 && nodeStats(t, addrB)["ring_epoch"] >= 1
 	})
+	// ... and until each holds a lease. A store can learn the ring without
+	// one — the other store's replica sync carries it — and the failure
+	// detector only watches stores that have heartbeat at least once: a
+	// store killed before its first beat landed is never failed over.
+	waitFor(t, 5*time.Second, "stores never took out their leases", func() bool {
+		cs := coordStats(t, coAddr)
+		_, a := cs["lease_age_ms["+addrA+"]"]
+		_, b := cs["lease_age_ms["+addrB+"]"]
+		return a && b
+	})
 
 	// Writes through either store land on the owner and, before the
 	// ack, on its replica.

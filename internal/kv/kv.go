@@ -13,6 +13,7 @@
 package kv
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,7 +198,10 @@ func (c *Cache) Put(key string, e Entry) bool {
 // Update applies a pushed update: it overwrites value and version only if
 // the key is resident (the paper's update semantics: "does nothing if the
 // object is not in the cache") and the version is not older than the
-// resident one. It reports whether the key was resident.
+// resident one. It reports whether the key was resident. value is only
+// read: the copy that becomes the entry is made here, once both checks
+// have passed — an update for a key that is not resident, or that is out
+// of date, costs no allocation.
 func (c *Cache) Update(key string, value []byte, version uint64) bool {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -207,7 +211,7 @@ func (c *Cache) Update(key string, value []byte, version uint64) bool {
 		return false
 	}
 	if version >= n.e.Version {
-		n.e = Entry{Value: value, Version: version, FreshAt: time.Now()}
+		n.e = Entry{Value: bytes.Clone(value), Version: version, FreshAt: time.Now()}
 	}
 	return true
 }

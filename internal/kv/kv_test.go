@@ -81,6 +81,35 @@ func TestCacheUpdateSemantics(t *testing.T) {
 	}
 }
 
+// Update copies the pushed value itself, and only when the copy becomes the
+// entry: a push for a key that is not resident, or older than the resident
+// copy, allocates nothing, and the caller's buffer is never retained.
+func TestCacheUpdateCopiesOnlyWhatItInstalls(t *testing.T) {
+	c := NewCache(0)
+	c.Put("a", Entry{Value: []byte("v5"), Version: 5})
+	pushed := make([]byte, 1024)
+	if allocs := testing.AllocsPerRun(1000, func() { c.Update("absent", pushed, 9) }); allocs != 0 {
+		t.Errorf("an update for a key that is not resident allocates %.0f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { c.Update("a", pushed, 4) }); allocs != 0 {
+		t.Errorf("an out-of-date update allocates %.0f objects, want 0", allocs)
+	}
+	if e, _, _ := c.Get("a", t0); string(e.Value) != "v5" || e.Version != 5 {
+		t.Errorf("the out-of-date updates left %q at version %d", e.Value, e.Version)
+	}
+	version := uint64(5)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		version++
+		c.Update("a", pushed, version)
+	}); allocs != 1 {
+		t.Errorf("an applied update allocates %.0f objects, want 1 (the entry's copy)", allocs)
+	}
+	copy(pushed, "overwritten by the reader's next frame")
+	if e, _, _ := c.Get("a", t0); e.Version != version || len(e.Value) != 1024 || e.Value[0] != 0 {
+		t.Errorf("the entry aliases the pushed buffer: %q... at version %d", e.Value[:8], e.Version)
+	}
+}
+
 func TestCacheExpiry(t *testing.T) {
 	c := NewCache(0)
 	c.Put("a", Entry{Value: []byte("v"), Version: 1, ExpireAt: t0.Add(time.Second)})

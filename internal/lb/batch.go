@@ -183,7 +183,7 @@ func (s *Server) routeMPut(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 				Err: fmt.Sprintf("lb: MPUT op %d has kind %d, want update", i, m.Ops[i].Kind)}
 		}
 		keys[i] = m.Ops[i].Key
-		vals[i] = m.Ops[i].Value // copied off the reader buffer by handleConn
+		vals[i] = m.Ops[i].Value // copied off the reader buffer by dispatchMPut
 	}
 	start := time.Now()
 	results, pts := s.stores.MPutTraced(keys, vals, tr.ID())

@@ -7,18 +7,22 @@
 // It is a message-level proxy built on the same client pools the caches
 // use.
 //
-// Reads — the path the whole design exists for — are proxied by
-// continuation. The connection's read loop picks the cache for a GET, or
-// splits an MGET's keys by cache (batch.go), starts the upstream requests
-// and moves on; each upstream connection's reader then runs the
-// completion (relay.Complete, gatherPart.Complete), and the one that
-// settles the request encodes the downstream response once, into a pooled
-// frame, and queues it to the client connection's writer without
-// blocking. No goroutine is spawned and no message changes hands for a
-// read. PUT and MPUT block on the sharded client's failover and
-// scatter-gather, so they — and only they — get a dispatcher goroutine
-// each. Either way responses on one connection may overtake one another;
-// the client matches them by Seq.
+// Reads — the path the whole design exists for — and single-key writes are
+// proxied by continuation. The connection's read loop picks the cache for
+// a GET, splits an MGET's keys by cache (batch.go), or picks the owning
+// store for a PUT, starts the upstream requests and moves on; each upstream
+// connection's reader then runs the completion (relay.Complete,
+// gatherPart.Complete, putRelay.Complete), and the one that settles the
+// request encodes the downstream response once, into a pooled frame, and
+// queues it to the client connection's writer without blocking
+// (clientConn.answer, over the proto.ReplyQueue the store and cache servers
+// answer through too). No goroutine is spawned and no message changes hands
+// for a GET, an MGET or a PUT. An MPUT blocks on the sharded client's
+// scatter-gather and failover, so it — and only it — gets a dispatcher
+// goroutine; a PUT takes one only when its store's connection broke under
+// it, for the blocking ring refresh and retry (putRelay.failover). Either
+// way responses on one connection may overtake one another; the client
+// matches them by Seq.
 //
 // Close is graceful: the listener stops accepting, in-flight proxied
 // requests drain (bounded by DrainTimeout), and only then are the
@@ -330,24 +334,11 @@ func (s *Server) endRequests(n int) {
 const maxConnInflight = 256
 
 // clientConn is what one client connection's read loop shares with the
-// dispatcher goroutines and read completions answering on it.
+// dispatcher goroutines and completions answering on it: the queue to its
+// writer, holding one slot per request in flight (maxConnInflight).
 type clientConn struct {
-	s   *Server
-	out chan proto.Outgoing
-	// sem holds one slot per request in flight (maxConnInflight);
-	// answering waits them all out before out is closed.
-	sem       chan struct{}
-	answering sync.WaitGroup
-}
-
-func (cc *clientConn) acquire() {
-	cc.sem <- struct{}{}
-	cc.answering.Add(1)
-}
-
-func (cc *clientConn) release() {
-	<-cc.sem
-	cc.answering.Done()
+	s *Server
+	*proto.ReplyQueue
 }
 
 // answer closes tr's hop span on down and sends it as the response to a
@@ -369,18 +360,7 @@ func (cc *clientConn) answer(tr *proto.SpanRec, down *proto.Msg) {
 		o.Msg = &proto.Msg{Type: proto.MsgErr, Seq: down.Seq, Err: err.Error()}
 	}
 	// inflight is released by the writer post-flush.
-	select {
-	case cc.out <- o:
-		cc.release()
-	default:
-		// This client is not draining its responses. Park the one frame
-		// on a goroutine (at most maxConnInflight of them: the slot is
-		// held until the frame is queued) instead of stalling the caller.
-		go func() {
-			cc.out <- o
-			cc.release()
-		}()
-	}
+	cc.Answer(o)
 }
 
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
@@ -388,18 +368,16 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	cc := &clientConn{
-		s:   s,
-		out: make(chan proto.Outgoing, 64),
-		sem: make(chan struct{}, maxConnInflight),
-	}
+	// 64 frames: a pipelined burst of answers coalesces into one flush
+	// without the completions queuing them ever parking one.
+	cc := &clientConn{s: s, ReplyQueue: proto.NewReplyQueue(64, maxConnInflight)}
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		// Each response's inflight slot is released only once its frame
 		// is flushed (or abandoned on a dead connection), so Close's
 		// drain wait means "responded", not merely "queued".
-		proto.WriteQueueFlushed(conn, cc.out, conn, s.endRequests)
+		proto.WriteQueueFlushed(conn, cc.Out, conn, s.endRequests)
 	}()
 
 	// Requests on one connection are answered concurrently (bounded by
@@ -420,65 +398,61 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		if !s.beginRequest() {
 			break // draining: reject requests arriving after Close
 		}
-		cc.acquire()
+		cc.Acquire()
 		tr := proto.StartSpan(m, "lb")
 		switch m.Type {
-		// Reads and local answers run to completion here: nothing of m
-		// outlives the case (keys are interned strings, and an MGET's are
-		// filed into the gather's own scratch), so it is reused as is.
+		// Reads, single-key writes and local answers run to completion
+		// here: nothing of m outlives the case (keys are interned strings,
+		// an MGET's are filed into the gather's own scratch, and a PUT's
+		// value is encoded upstream before its case returns), so it is
+		// reused as is.
 		case proto.MsgGet:
 			s.relayGet(cc, m, tr)
 		case proto.MsgMGet:
 			s.scatterMGet(cc, m, tr)
-		case proto.MsgPut, proto.MsgMPut:
+		case proto.MsgPut:
+			s.relayPut(cc, m, tr)
+		case proto.MsgMPut:
 			// The dispatcher goroutine owns the request Msg from here and
 			// returns it to the pool; the loop reads on into a fresh one.
-			s.dispatchWrite(cc, m, tr)
+			s.dispatchMPut(cc, m, tr)
 			m = proto.GetMsg()
 		default:
 			cc.answer(tr, s.localResp(m))
 		}
 	}
 	proto.PutMsg(m)
-	cc.answering.Wait()
-	close(cc.out)
+	cc.Close()
 	<-writerDone
 	conn.Close()
 }
 
-// dispatchWrite hands a PUT or MPUT to a dispatcher goroutine of its
-// own: the sharded store client blocks through failover.
-func (s *Server) dispatchWrite(cc *clientConn, m *proto.Msg, tr *proto.SpanRec) {
-	if m.Value != nil {
-		// The value aliases the reader's buffer, which the next ReadMsg
-		// overwrites while the dispatcher still runs. (Keys are interned
-		// strings — immutable, safe to hold.)
-		m.Value = append([]byte(nil), m.Value...)
+// dispatchMPut hands an MPUT to a dispatcher goroutine of its own: the
+// sharded store client blocks through scatter-gather and failover.
+func (s *Server) dispatchMPut(cc *clientConn, m *proto.Msg, tr *proto.SpanRec) {
+	// Each op's value aliases the reader's buffer, which the next ReadMsg
+	// overwrites while the dispatcher still runs: one backing buffer copies
+	// them all. (Keys are interned strings — immutable, safe to hold.)
+	total := 0
+	for i := range m.Ops {
+		total += len(m.Ops[i].Value)
 	}
-	if len(m.Ops) > 0 {
-		// Batched writes: each op's value aliases the reader buffer too.
-		// One backing buffer copies them all.
-		total := 0
-		for i := range m.Ops {
-			total += len(m.Ops[i].Value)
+	buf := make([]byte, 0, total)
+	for i := range m.Ops {
+		if m.Ops[i].Value == nil {
+			continue
 		}
-		buf := make([]byte, 0, total)
-		for i := range m.Ops {
-			if m.Ops[i].Value == nil {
-				continue
-			}
-			start := len(buf)
-			buf = append(buf, m.Ops[i].Value...)
-			m.Ops[i].Value = buf[start:len(buf):len(buf)]
-		}
+		start := len(buf)
+		buf = append(buf, m.Ops[i].Value...)
+		m.Ops[i].Value = buf[start:len(buf):len(buf)]
 	}
 	go func() {
-		defer cc.release()
-		resp := s.route(m, tr)
+		defer cc.Release()
+		resp := s.routeMPut(m, tr)
 		resp.Seq = m.Seq
 		proto.PutMsg(m)
 		// inflight is released by the writer post-flush.
-		cc.out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
+		cc.Out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
 	}()
 }
 
@@ -538,25 +512,78 @@ func (s *Server) finishTrace(tr *proto.SpanRec, resp *proto.Msg) *proto.Msg {
 	return resp
 }
 
-// route proxies a write — the one kind of request with a dispatcher
-// goroutine to block on.
-func (s *Server) route(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
-	if m.Type == proto.MsgMPut {
-		return s.routeMPut(m, tr)
-	}
+// putRelay is one PUT in flight to its owning store: relay's counterpart
+// for the write path, pooled the same way. value is a scratch copy of the
+// request's value — the upstream frame is encoded from the reader's buffer
+// before relayPut returns, so the copy is never sent unless the store's
+// connection breaks under the PUT and it must be retried against a promoted
+// owner (failover), long after the reader's buffer moved on.
+type putRelay struct {
+	cc    *clientConn
+	seq   uint64 // the client's sequence number, re-stamped on the answer
+	key   string
+	tr    *proto.SpanRec
+	start time.Time
+	owner *client.Client // the store the PUT was started on
+	value []byte
+}
+
+var putRelayPool = sync.Pool{New: func() any { return new(putRelay) }}
+
+// maxPooledPutValue keeps a one-off giant PUT from pinning its scratch
+// copy in the pool (the client's maxPooledFrameBuf, for the same reason).
+const maxPooledPutValue = 1 << 20
+
+// relayPut routes a PUT to its owning store and starts it upstream; the
+// answer is relayed by (*putRelay).Complete.
+func (s *Server) relayPut(cc *clientConn, m *proto.Msg, tr *proto.SpanRec) {
 	s.c.Writes.Inc()
-	start := time.Now()
-	version, st, err := s.stores.PutTraced(m.Key, m.Value, tr.ID())
-	tr.Add(st)
-	s.writeRTT.Observe(float64(time.Since(start)))
-	resp := proto.GetMsg()
+	p := putRelayPool.Get().(*putRelay)
+	p.cc, p.seq, p.key, p.tr, p.start = cc, m.Seq, m.Key, tr, time.Now()
+	p.value = append(p.value[:0], m.Value...)
+	// The owner is on record before the PUT starts: Complete may run, on
+	// the store connection's reader, before PutAsync returns.
+	p.owner = s.stores.For(m.Key)
+	p.owner.PutAsync(m.Key, m.Value, tr.ID(), p)
+}
+
+// Complete relays the store's answer to the client connection. It runs on
+// the store connection's reader and must not block: a transport failure,
+// which may mean the owner is down, sends this PUT alone to a goroutine for
+// the blocking ring refresh and retry.
+func (p *putRelay) Complete(resp *proto.Msg, err error) {
+	var version uint64
+	switch {
+	case err == nil:
+		p.tr.Add(resp.Trace)
+		version, err = client.DecodePut(resp, p.key)
+	case !errors.Is(err, client.ErrClosed):
+		go p.failover(err)
+		return
+	}
+	p.answer(version, err)
+}
+
+func (p *putRelay) failover(err error) {
+	version, st, err := p.cc.s.stores.PutRetry(p.owner, p.key, p.value, p.tr.ID(), err)
+	p.tr.Add(st)
+	p.answer(version, err)
+}
+
+// answer sends the PUT's outcome to the client and recycles the relay.
+func (p *putRelay) answer(version uint64, err error) {
+	cc, s := p.cc, p.cc.s
+	s.writeRTT.Observe(float64(time.Since(p.start)))
+	down := proto.Msg{Type: proto.MsgPutResp, Seq: p.seq, Status: proto.StatusOK, Version: version}
 	if err != nil {
 		s.c.Errors.Inc()
-		resp.Type, resp.Err = proto.MsgErr, err.Error()
-		return resp
+		down = proto.Msg{Type: proto.MsgErr, Seq: p.seq, Err: err.Error()}
 	}
-	resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, version
-	return resp
+	cc.answer(p.tr, &down)
+	*p = putRelay{value: p.value[:0]}
+	if cap(p.value) <= maxPooledPutValue {
+		putRelayPool.Put(p)
+	}
 }
 
 // localResp answers what the balancer proxies nowhere.

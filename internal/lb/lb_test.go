@@ -25,6 +25,13 @@ func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 // startCluster wires store + n caches + lb on ephemeral ports.
 func startCluster(t *testing.T, nCaches int) (lbAddr string, caches []*cache.Server, st *store.Server) {
 	t.Helper()
+	b, caches, st := startClusterLB(t, nCaches)
+	return b.Addr().String(), caches, st
+}
+
+// startClusterLB is startCluster for a test that looks inside the balancer.
+func startClusterLB(t *testing.T, nCaches int) (b *Server, caches []*cache.Server, st *store.Server) {
+	t.Helper()
 	const T = 40 * time.Millisecond
 	st = store.New(store.Config{T: T,
 		Engine: core.Config{Costs: costmodel.Fixed(2, 0.25, 1)}, Logger: quietLogger()})
@@ -54,7 +61,7 @@ func startCluster(t *testing.T, nCaches int) (lbAddr string, caches []*cache.Ser
 		cacheAddrs = append(cacheAddrs, cln.Addr().String())
 	}
 
-	b, err := New(Config{StoreAddr: sln.Addr().String(), CacheAddrs: cacheAddrs, Logger: quietLogger()})
+	b, err = New(Config{StoreAddr: sln.Addr().String(), CacheAddrs: cacheAddrs, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +71,8 @@ func startCluster(t *testing.T, nCaches int) (lbAddr string, caches []*cache.Ser
 	}
 	go b.Serve(bln) //nolint:errcheck
 	t.Cleanup(func() { b.Close() })
-	return bln.Addr().String(), caches, st
+	waitUntil(t, "the balancer to listen", func() bool { return b.Addr() != nil })
+	return b, caches, st
 }
 
 func TestReadWriteThroughLB(t *testing.T) {
@@ -215,15 +223,16 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// fakeCache is an upstream the test controls: it answers every GET with
-// the key echoed back as the value — and every MGET likewise, keys that
-// start with "ghost" excepted (not found), or with a MsgErr if refuse is
-// set — but only after release is closed, and kill severs everything
+// fakeCache is an upstream the test controls — a cache, or a store: it
+// answers every GET with the key echoed back as the value, every MGET
+// likewise, keys that start with "ghost" excepted (not found), and every
+// PUT with version 7 (a MsgErr instead, for MGET and PUT, if refuse is
+// set) — but only after release is closed, and kill severs everything
 // mid-flight.
 type fakeCache struct {
 	ln      net.Listener
 	release chan struct{}
-	refuse  bool         // MGETs are answered with MsgErr
+	refuse  bool         // MGETs and PUTs are answered with MsgErr
 	parked  atomic.Int64 // requests read and waiting for release
 
 	mu    sync.Mutex
@@ -272,9 +281,12 @@ func (f *fakeCache) serve(conn net.Conn) {
 				}
 				resp.Ops = append(resp.Ops, op)
 			}
-			if f.refuse {
-				resp = &proto.Msg{Type: proto.MsgErr, Seq: m.Seq, Err: "fake: refused"}
-			}
+		}
+		if m.Type == proto.MsgPut {
+			resp = &proto.Msg{Type: proto.MsgPutResp, Seq: m.Seq, Status: proto.StatusOK, Version: 7, Trace: m.Trace}
+		}
+		if f.refuse && m.Type != proto.MsgGet {
+			resp = &proto.Msg{Type: proto.MsgErr, Seq: m.Seq, Err: "fake: refused"}
 		}
 		f.parked.Add(1)
 		go func() {

@@ -591,6 +591,63 @@ func WriteQueueFlushed(w io.Writer, out <-chan Outgoing, conn io.Closer, flushed
 	}
 }
 
+// ReplyQueue is the producing side of one server connection's WriteQueue:
+// the queue itself, and a count of the requests the connection's read loop
+// has handed off — to a completion on some upstream connection's reader,
+// or to a goroutine — and that still owe an answer. The store, cache and LB
+// servers all answer off their read loops through this.
+type ReplyQueue struct {
+	// Out feeds the connection's WriteQueue. Close closes it.
+	Out chan Outgoing
+	// sem holds one slot per handed-off request; owed waits them all out.
+	sem  chan struct{}
+	owed sync.WaitGroup
+}
+
+// NewReplyQueue makes a queue of depth frames that lets at most inflight
+// requests be handed off at once; beyond it Acquire blocks, which is the
+// read loop exerting backpressure.
+func NewReplyQueue(depth, inflight int) *ReplyQueue {
+	return &ReplyQueue{Out: make(chan Outgoing, depth), sem: make(chan struct{}, inflight)}
+}
+
+// Acquire registers a request about to be handed off. Each is ended by
+// exactly one Answer or Release.
+func (q *ReplyQueue) Acquire() {
+	q.sem <- struct{}{}
+	q.owed.Add(1)
+}
+
+// Release ends an acquired request whose answer the caller has queued on
+// Out itself (or that gets none).
+func (q *ReplyQueue) Release() {
+	<-q.sem
+	q.owed.Done()
+}
+
+// Answer queues o as the answer to an acquired request without ever
+// waiting for this client: it runs on upstream connections' readers, which
+// every client connection shares. A client that is not draining its
+// responses gets the one frame parked on a goroutine — at most inflight of
+// them, as the slot is held until the frame is queued.
+func (q *ReplyQueue) Answer(o Outgoing) {
+	select {
+	case q.Out <- o:
+		q.Release()
+	default:
+		go func() {
+			q.Out <- o
+			q.Release()
+		}()
+	}
+}
+
+// Close waits for every acquired request to end, then closes Out.
+func (q *ReplyQueue) Close() {
+	q.owed.Wait()
+	close(q.Out)
+}
+
 // burst accumulates one coalesced flush for WriteQueue: Msg frames are
 // encoded back-to-back into scratch, shared frames are referenced in
 // place, and the whole ordered sequence goes out as a single vectored

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"freshcache/internal/client"
@@ -14,6 +16,15 @@ import (
 // the single-key semantics exactly, key by key: the same freshness
 // accounting, cluster forwarding and replication ack rule. For writes
 // the two are one body: PUT is MPUT's one-op case.
+//
+// A write's network legs — replication to the replicas of the keys applied
+// here, forwards of the keys owned elsewhere — are run by continuation, as
+// the LB gathers an MGET: the connection's read loop applies the local ops
+// (per-connection write order is the order they were read in), starts
+// every leg, and goes back to reading; each leg's completion runs on the
+// peer connection's reader, and the last one in queues the ack without
+// blocking. No goroutine is spawned, and the request's values are copied
+// once — by the authority, into the entry it keeps.
 
 // batchPart is the slice of a multi-key read served from one place: the
 // keys and their positions in the request. A nil idx means keys is the
@@ -52,13 +63,13 @@ func (s *Server) observeRead(key string, fill bool) {
 // any key must be proxied the whole batch moves to a forward goroutine
 // so the cross-node round trips never stall the requests pipelined
 // behind it.
-func (s *Server) dispatchMGet(m *proto.Msg, cs *connState, out chan proto.Outgoing, tr *proto.SpanRec, fill bool) *proto.Msg {
+func (s *Server) dispatchMGet(m *proto.Msg, cs *connState, tr *proto.SpanRec, fill bool) *proto.Msg {
 	seq, n := m.Seq, len(m.Keys)
 	local, remote := s.splitReads(m.Keys)
 	if remote == nil {
 		return s.mgetResp(seq, n, local, nil, fill)
 	}
-	return s.goForward(cs, out, tr, func() *proto.Msg {
+	return s.goForward(cs, tr, func() *proto.Msg {
 		return s.mgetResp(seq, n, local, remote, fill)
 	})
 }
@@ -150,24 +161,73 @@ func (s *Server) mgetResp(seq uint64, n int, local batchPart, remote map[string]
 	return resp
 }
 
-// leg is one network leg of a write request: the positions of the ops
-// that must reach addr before their ack is released — forwarded to it as
-// their owner (fwd), or replicated to it as accepted local writes.
-type leg struct {
-	addr string
-	fwd  bool
-	idx  []int
+// pendingWrite is one PUT or MPUT whose answer waits on network legs: the
+// countdown record their completions share. Pooled; its slices keep their
+// capacity, so a steady request shape allocates nothing here.
+//
+// Ownership: the connection's read loop fills everything in, then starts
+// the legs. From there each leg's completion writes only its own writeLeg
+// and — a forward leg — the ops its idx names, which no other leg shares;
+// whoever brings left to zero is the last to have touched the record: it
+// alone reads the whole of it, applies the failed-leg rule, answers, and
+// recycles it. The record never holds request bytes: ops carries keys and
+// versions only, and the values each leg sends are encoded, from the
+// reader's own buffer, before the call that starts the leg returns.
+type pendingWrite struct {
+	s      *Server
+	cs     *connState
+	seq    uint64
+	tr     *proto.SpanRec
+	single bool // a PUT: answered with PUT's response, not MPUT's
+	// ops is the answer taking shape, one op per request op in request
+	// order: BatchUpdate with the version assigned here or by the owner a
+	// forward leg reached.
+	ops  []proto.BatchOp
+	legs []writeLeg
+	// left counts the legs in flight, plus one held by dispatchWrites
+	// until it has started them all.
+	left atomic.Int32
 }
 
-// addLeg adds op i of an n-op request to the (addr, fwd) leg.
-func addLeg(legs []leg, addr string, fwd bool, i, n int) []leg {
-	for j := range legs {
-		if legs[j].addr == addr && legs[j].fwd == fwd {
-			legs[j].idx = append(legs[j].idx, i)
-			return legs
+// writeLeg is one network leg of a write request — the ops that must reach
+// addr before their ack is released, forwarded to it as their owner (fwd)
+// or replicated to it as accepted local writes — and, as its
+// client.Completion, what records that peer's answer.
+type writeLeg struct {
+	w     *pendingWrite // set when the leg is started
+	addr  string
+	fwd   bool
+	keys  []string // the leg's ops' keys ...
+	idx   []int    // ... and their positions in the request
+	start time.Time
+	trace *proto.Trace
+	// err fails the whole leg; keyErr is the last per-key refusal a forward
+	// leg's owner answered, its op already flipped.
+	err, keyErr error
+}
+
+var pendingWritePool = sync.Pool{New: func() any { return new(pendingWrite) }}
+
+// Past this a recycled record would pin a one-off giant batch's scratch in
+// the pool.
+const maxPooledWriteOps = 4096
+
+// addLeg adds request op i, for key, to the (addr, fwd) leg.
+func (w *pendingWrite) addLeg(addr string, fwd bool, key string, i int) {
+	for j := range w.legs {
+		if l := &w.legs[j]; l.addr == addr && l.fwd == fwd {
+			l.keys, l.idx = append(l.keys, key), append(l.idx, i)
+			return
 		}
 	}
-	return append(legs, leg{addr: addr, fwd: fwd, idx: append(make([]int, 0, n), i)})
+	if n := len(w.legs); n < cap(w.legs) {
+		w.legs = w.legs[:n+1] // a recycled leg: its scratch is empty, its capacity kept
+	} else {
+		w.legs = append(w.legs, writeLeg{})
+	}
+	l := &w.legs[len(w.legs)-1]
+	l.addr, l.fwd = addr, fwd
+	l.keys, l.idx = append(l.keys, key), append(l.idx, i)
 }
 
 // localWrite is an op applied to the local authority, with the dirty
@@ -177,33 +237,48 @@ type localWrite struct {
 	dirty *keySet
 }
 
+// writeScratch is what dispatchWrites builds a request in: only the
+// connection's read loop touches it, and nothing in it outlives the
+// dispatch — it may hold the reader's buffer.
+type writeScratch struct {
+	one   [1]proto.BatchOp // a PUT as MPUT's one-op case
+	part  []proto.BatchOp  // the ops of the leg being started
+	freqs []proto.KeyFreq  // and the tracker counts riding with them
+	local []localWrite
+}
+
 // dispatchWrites serves PUT (one op) and MPUT (the batch) under the
 // placement rule, key by key: every op is placed in one read-locked pass
 // (the bracket that keeps a migration's snapshot-plus-dirty-set
 // exhaustive) and the local ones are applied inside it, one lock per
 // authority stripe, on the connection goroutine — so pipelined writes on
 // one connection keep their order. A request with no network leg (every
-// key owned here, no replicas) is answered inline; forwards and
-// replication complete on a forward goroutine (finishWrites).
-func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, out chan proto.Outgoing, tr *proto.SpanRec) *proto.Msg {
+// key owned here, no replicas) is answered inline. Otherwise every leg is
+// started from here too — a replication leg pushes its accepted writes,
+// with their assigned versions and the tracker's current counts for their
+// keys (so a promoted replica's policy warm-starts), as one restore push; a
+// forward leg proxies its writes to their owner as one MPUT — and the
+// request is answered by the last leg's completion, on that peer
+// connection's reader (pendingWrite.legDone).
+func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, tr *proto.SpanRec) *proto.Msg {
 	single := m.Type == proto.MsgPut
-	var ops []proto.BatchOp
+	sc := &cs.write
+	// ops is the request as the legs will send it, values and all: the
+	// reader's own op list, or for a PUT the connection's one-op scratch.
+	ops := m.Ops
 	if single {
-		ops = []proto.BatchOp{{Kind: proto.BatchUpdate, Key: m.Key, Value: m.Value}}
+		sc.one[0] = proto.BatchOp{Kind: proto.BatchUpdate, Key: m.Key, Value: m.Value}
+		ops = sc.one[:]
 	} else {
-		for i := range m.Ops {
-			if m.Ops[i].Kind != proto.BatchUpdate {
-				return errMsg(m.Seq, "store: MPUT op %d has kind %d, want update", i, m.Ops[i].Kind)
+		for i := range ops {
+			if ops[i].Kind != proto.BatchUpdate {
+				return errMsg(m.Seq, "store: MPUT op %d has kind %d, want update", i, ops[i].Kind)
 			}
 		}
-		// m is reused by the connection's read loop: the keys are interned
-		// strings, the op slice must be copied.
-		ops = append([]proto.BatchOp(nil), m.Ops...)
 	}
-	var legs []leg
-	var localBuf [16]localWrite // keeps the usual request's list off the heap
-	var repBuf [4]string        // and each key's replica set
-	local, now := localBuf[:0], time.Now()
+	w := pendingWritePool.Get().(*pendingWrite)
+	var repBuf [4]string // keeps each key's replica set off the heap
+	local, now := sc.local[:0], time.Now()
 	s.clMu.RLock()
 	for i := range ops {
 		target, dirty := s.placeLocked(ops[i].Key)
@@ -211,7 +286,7 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, out chan proto.Outg
 			// The local engine never sees a forwarded write: the next flush
 			// owes old-epoch subscribers an invalidate for its key.
 			s.fwdDirty.add(ops[i].Key)
-			legs = addLeg(legs, target, true, i, len(ops))
+			w.addLeg(target, true, ops[i].Key, i)
 			continue
 		}
 		local = append(local, localWrite{i, dirty})
@@ -220,9 +295,9 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, out chan proto.Outg
 		o := &ops[local[0].i]
 		o.Version = s.auth.Put(o.Key, o.Value, now)
 	} else if len(local) > 1 {
-		keys, vals, versions := make([]string, len(local)), make([][]byte, len(local)), make([]uint64, len(local))
-		for j, lw := range local {
-			keys[j], vals[j] = ops[lw.i].Key, ops[lw.i].Value
+		keys, vals, versions := make([]string, 0, len(local)), make([][]byte, 0, len(local)), make([]uint64, len(local))
+		for _, lw := range local {
+			keys, vals = append(keys, ops[lw.i].Key), append(vals, ops[lw.i].Value)
 		}
 		s.auth.PutBatch(keys, vals, versions, now)
 		for j, lw := range local {
@@ -235,7 +310,7 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, out chan proto.Outg
 			lw.dirty.add(key) // after the write: a dirty round may take it at once
 		}
 		for _, rep := range s.replicaTargetsLocked(repBuf[:0], key) {
-			legs = addLeg(legs, rep, false, lw.i, len(ops))
+			w.addLeg(rep, false, key, lw.i)
 		}
 	}
 	s.clMu.RUnlock()
@@ -243,93 +318,139 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, out chan proto.Outg
 	for _, lw := range local {
 		s.engine.ObserveWrite(ops[lw.i].Key)
 	}
-	if len(legs) == 0 {
-		return s.writeResp(m.Seq, ops, single, nil)
-	}
-	// The values alias the reader's frame buffer and the legs outlive
-	// this dispatch: one backing buffer holds every value copy.
-	total := 0
+	sc.local = local[:0]
+	w.ops = w.ops[:0]
 	for i := range ops {
-		total += len(ops[i].Value)
+		w.ops = append(w.ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: ops[i].Key, Version: ops[i].Version})
 	}
-	buf := make([]byte, 0, total)
-	for i := range ops {
-		start := len(buf)
-		buf = append(buf, ops[i].Value...)
-		ops[i].Value = buf[start:len(buf):len(buf)]
+	if len(w.legs) == 0 {
+		resp := s.writeResp(m.Seq, w.ops, single, nil)
+		sc.one[0].Value = nil
+		w.recycle()
+		return resp
 	}
-	seq, ops, legs := m.Seq, ops, legs // single-assignment copies: captured by value, no heap cell
-	return s.goForward(cs, out, tr, func() *proto.Msg {
-		return s.writeResp(seq, ops, single, s.finishWrites(ops, legs))
-	})
-}
 
-// finishWrites performs the network legs of a request's writes — the
-// one write-completion body, run on a forward goroutine so the round
-// trips never stall the requests pipelined behind the write. A
-// replication leg pushes its accepted writes, with their assigned
-// versions and the tracker's current counts for their keys (so a
-// promoted replica's policy warm-starts), as one restore push; a forward
-// leg proxies its writes to their owner as one MPUT and takes the
-// owner-assigned versions. An op is acknowledged only if every leg it
-// rides succeeded; on a failed leg it flips to BatchInvalidate — applied
-// locally, perhaps, but not durable: the client may retry, which restore
-// semantics absorb, and the failure detector drops a dead replica within
-// a few lease intervals. The last leg error is returned.
-func (s *Server) finishWrites(ops []proto.BatchOp, legs []leg) (err error) {
-	var failed []int
-	for _, l := range legs {
-		if l.fwd {
-			keys, vals := make([]string, len(l.idx)), make([][]byte, len(l.idx))
-			for j, i := range l.idx {
-				keys[j], vals[j] = ops[i].Key, ops[i].Value
-			}
-			res, ferr := s.peer(l.addr).MPut(keys, vals)
-			s.c.ForwardedPuts.Add(uint64(len(keys)))
-			if ferr != nil {
-				err = fmt.Errorf("forwarding %d writes to %s: %w", len(keys), l.addr, ferr)
-				failed = append(failed, l.idx...)
-			}
-			for j, r := range res {
-				if r.Err != nil {
-					err = fmt.Errorf("forwarding to %s: %w", l.addr, r.Err)
-					failed = append(failed, l.idx[j])
-				}
-				ops[l.idx[j]].Version = r.Version
-			}
-			continue
-		}
-		part := ops // the common case: every op replicates to this peer
+	cs.Acquire()
+	w.s, w.cs, w.seq, w.tr, w.single = s, cs, m.Seq, tr, single
+	w.left.Store(int32(len(w.legs)) + 1)
+	for j := range w.legs {
+		l := &w.legs[j]
+		l.w, l.start = w, time.Now()
+		part := ops // the common case: every op rides this leg
 		if len(l.idx) < len(ops) {
-			part = make([]proto.BatchOp, len(l.idx))
-			for j, i := range l.idx {
-				part[j] = ops[i]
+			sc.part = sc.part[:0]
+			for _, i := range l.idx {
+				sc.part = append(sc.part, ops[i])
 			}
+			part = sc.part
 		}
-		var freqs []proto.KeyFreq
-		for i := range part {
-			freqs = s.appendFreq(freqs, part[i].Key)
-		}
-		start := time.Now()
-		if rerr := s.peer(l.addr).Restore(part, freqs, 0); rerr != nil {
-			err = fmt.Errorf("replicating %d writes to %s: %w", len(part), l.addr, rerr)
-			failed = append(failed, l.idx...)
+		if l.fwd {
+			s.c.ForwardedPuts.Add(uint64(len(part)))
+			s.peer(l.addr).MPutAsync(part, tr.ID(), l)
 			continue
 		}
-		s.c.RepWritesOut.Inc()
-		s.repRTT.Observe(float64(time.Since(start)))
+		sc.freqs = sc.freqs[:0]
+		for i := range part {
+			sc.freqs = s.appendFreq(sc.freqs, part[i].Key)
+		}
+		s.peer(l.addr).RestoreAsync(part, sc.freqs, 0, tr.ID(), l)
 	}
-	for _, i := range failed {
-		ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: ops[i].Key}
-	}
-	return err
+	clear(sc.part)
+	sc.one[0].Value = nil
+	w.legDone()
+	return nil
 }
 
-// writeResp shapes a finished write request's answer. PUT: the assigned
-// version, or the error that withheld the ack. MPUT: one op per key in
-// request order — BatchUpdate with the assigned version, or
-// BatchInvalidate for a key whose leg failed, which the client surfaces
-// as that key's error while the rest of the batch acknowledges.
+// Complete records one peer's answer to its leg. It runs on that peer
+// connection's reader and must not block.
+func (l *writeLeg) Complete(resp *proto.Msg, err error) {
+	w := l.w
+	s := w.s
+	if err == nil {
+		l.trace = resp.Trace // allocated per frame, not part of the lent buffers
+	}
+	if l.fwd {
+		var res []proto.BatchOp
+		if err == nil {
+			res, err = client.DecodeMPut(resp, l.keys)
+		}
+		if err != nil {
+			l.err = fmt.Errorf("forwarding %d writes to %s: %w", len(l.idx), l.addr, err)
+		}
+		// The owner assigned the versions; a key it refused is withheld.
+		for j := range res {
+			i := l.idx[j]
+			if res[j].Kind == proto.BatchInvalidate {
+				w.ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: l.keys[j]}
+				l.keyErr = fmt.Errorf("forwarding to %s: %w", l.addr, client.MPutKeyError(l.keys[j]))
+				continue
+			}
+			w.ops[i].Version = res[j].Version
+		}
+	} else {
+		if err == nil {
+			err = client.DecodeRestore(resp)
+		}
+		if err != nil {
+			l.err = fmt.Errorf("replicating %d writes to %s: %w", len(l.idx), l.addr, err)
+		} else {
+			s.c.RepWritesOut.Inc()
+			s.repRTT.Observe(float64(time.Since(l.start)))
+		}
+	}
+	w.legDone()
+}
+
+// legDone retires one count of left; the last one out answers the request.
+// An op is acknowledged only if every leg it rode succeeded; on a failed
+// leg it flips to BatchInvalidate — applied locally, perhaps, but not
+// durable: the client may retry, which restore semantics absorb, and the
+// failure detector drops a dead replica within a few lease intervals. The
+// last leg error is the one reported.
+func (w *pendingWrite) legDone() {
+	if w.left.Add(-1) != 0 {
+		return
+	}
+	var err error
+	for j := range w.legs {
+		l := &w.legs[j]
+		w.tr.Add(l.trace)
+		if l.keyErr != nil {
+			err = l.keyErr
+		}
+		if l.err != nil {
+			err = l.err
+			for j, i := range l.idx {
+				w.ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: l.keys[j]}
+			}
+		}
+	}
+	w.cs.answer(w.tr, w.s.writeResp(w.seq, w.ops, w.single, err))
+	w.recycle()
+}
+
+// recycle empties the record and returns it to the pool. Nothing of the
+// server stays reachable from it: a pooled record outlives a closed
+// server by a garbage collection or two, and would keep its whole
+// authority alive that long.
+func (w *pendingWrite) recycle() {
+	for j := range w.legs {
+		l := &w.legs[j]
+		*l = writeLeg{keys: l.keys[:0], idx: l.idx[:0]}
+	}
+	w.legs, w.ops = w.legs[:0], w.ops[:0]
+	w.s, w.cs, w.tr = nil, nil, nil
+	if cap(w.ops) <= maxPooledWriteOps {
+		pendingWritePool.Put(w)
+	}
+}
+
+// writeResp shapes a finished write request's answer from its ops (keys,
+// versions, and BatchInvalidate where a leg failed), which it does not
+// keep. PUT: the assigned version, or the error that withheld the ack.
+// MPUT: one op per key in request order — BatchUpdate with the assigned
+// version, or BatchInvalidate for a key whose leg failed, which the client
+// surfaces as that key's error while the rest of the batch acknowledges.
 func (s *Server) writeResp(seq uint64, ops []proto.BatchOp, single bool, err error) *proto.Msg {
 	if single && err != nil {
 		return errMsg(seq, "store: put %q: %v", ops[0].Key, err)
@@ -343,9 +464,6 @@ func (s *Server) writeResp(seq uint64, ops []proto.BatchOp, single bool, err err
 	if err != nil {
 		s.cfg.Logger.Printf("store %s: %d-key write: %v", s.cfg.ShardID, len(ops), err)
 	}
-	for i := range ops {
-		ops[i].Value = nil // the response carries versions only
-	}
-	resp.Type, resp.Ops = proto.MsgMPutResp, ops
+	resp.Type, resp.Ops = proto.MsgMPutResp, append([]proto.BatchOp(nil), ops...)
 	return resp
 }

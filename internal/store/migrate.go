@@ -1,7 +1,7 @@
 // Key placement, restore and range transfer: the store-side half of
 // live resharding, replica bootstrap and failover. Each rule that
 // carries the freshness guarantee through a topology change has one
-// body: placeLocked (where does this key live right now), finishWrites
+// body: placeLocked (where does this key live right now), pendingWrite
 // in batch.go (an ack waits for every replica), applyRestore (received
 // entries keep their versions, never clobber newer ones, and fence the
 // receiver's counter past the sender's), streamRange / pullRange (a key

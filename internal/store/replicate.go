@@ -4,9 +4,9 @@
 // Under a replication factor R > 1, every key lives on its ring owner
 // (the primary) plus the R−1 next distinct ring successors (the
 // replicas, ring.Replicas). The primary pushes each accepted write to
-// its replicas (finishWrites, batch.go) and withholds the client's ack
-// until every replica answered — so an acknowledged write survives the
-// primary's crash. Replicas apply the pushes under restore semantics
+// its replicas (dispatchWrites, batch.go) and withholds the client's ack
+// until every replica answered (pendingWrite.legDone) — so an acknowledged
+// write survives the primary's crash. Replicas apply the pushes under restore semantics
 // and bank the attached tracker counts (applyRestore, migrate.go); when
 // a failover publishes a ring without the primary, the replica is
 // already the new ring owner of those arcs (a ring successor inherits

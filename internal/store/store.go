@@ -452,14 +452,22 @@ func (s *Server) Close() error {
 	if ln != nil {
 		err = ln.Close()
 	}
+	// Before waiting: a connection goroutine waits out the writes whose
+	// replication or forward legs are still in flight, and closing the peer
+	// clients fails those legs now rather than at their request timeout.
+	s.closePeers()
 	s.wg.Wait()
+	s.closePeers() // any a draining connection dialed meanwhile
+	return err
+}
+
+func (s *Server) closePeers() {
 	s.peerMu.Lock()
 	for _, p := range s.peers {
 		p.Close()
 	}
 	s.peers = make(map[string]*client.Client)
 	s.peerMu.Unlock()
-	return err
 }
 
 // flusher runs the paper's interval-T batching loop: drain the policy
@@ -584,7 +592,8 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.wg.Done()
 	defer s.c.ConnectionsClosed.Inc()
 
-	out := make(chan proto.Outgoing, s.cfg.SubscriberQueue)
+	cs := &connState{s: s, ReplyQueue: proto.NewReplyQueue(s.cfg.SubscriberQueue, maxConnInflight)}
+	out := cs.Out
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -597,11 +606,10 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	var cs connState
 	// One request Msg reused across the whole connection: every dispatch
-	// path either answers synchronously or copies what it keeps (values
-	// are copied, keys are interned strings), so nothing aliases m after
-	// dispatch returns.
+	// path either answers synchronously, sends what it forwards before it
+	// returns, or copies what it keeps (values are copied, keys are
+	// interned strings), so nothing aliases m after dispatch returns.
 	var m proto.Msg
 	r := proto.NewReader(conn)
 	for {
@@ -613,7 +621,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 			break
 		}
 		tr := proto.StartSpan(&m, s.spanName)
-		resp := s.dispatch(&m, conn, &cs, out, tr)
+		resp := s.dispatch(&m, conn, cs, out, tr)
 		if resp != nil {
 			resp = s.finishTrace(tr, resp)
 			select {
@@ -622,7 +630,6 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 			}
 		}
 	}
-	cs.fwd.Wait() // async forwarded requests still hold out
 	if cs.sub != nil {
 		s.dropSubscriber(cs.sub)
 		cs.sub.retire()
@@ -630,43 +637,44 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	if cs.mig != nil {
 		s.abortMigration(cs.mig)
 	}
-	close(out)
+	cs.Close() // waits out the requests still to be answered off the read loop
 	<-writerDone
 	conn.Close()
 }
 
-// maxConnForwards bounds the concurrently forwarded requests per
-// connection; beyond it the read loop exerts backpressure.
-const maxConnForwards = 256
+// maxConnInflight bounds the requests per connection answered off its
+// read loop — writes waiting on their legs, forwarded reads; beyond it the
+// read loop exerts backpressure.
+const maxConnInflight = 256
 
-// connState is the per-connection server-side state: at most one push
-// subscription, at most one outbound key-range migration, and the
-// in-flight forwarded requests.
+// connState is the per-connection server-side state: the queue to its
+// writer, holding one slot per request still to be answered off the read
+// loop; at most one push subscription; at most one outbound key-range
+// migration; and the read loop's scratch for the write it is dispatching.
 type connState struct {
-	sub *subscriber
-	mig *outMigration
-
-	fwd    sync.WaitGroup
-	fwdSem chan struct{}
+	s *Server
+	*proto.ReplyQueue
+	sub   *subscriber
+	mig   *outMigration
+	write writeScratch
 }
 
-// goForward answers a request asynchronously through the connection's
-// writer: a forwarded request crosses a network round trip and must
-// not stall the requests pipelined behind it on this connection (the
-// LB and cache dispatch concurrently for the same reason). Responses
-// may complete out of order; clients demux by Seq.
-func (s *Server) goForward(cs *connState, out chan proto.Outgoing, tr *proto.SpanRec, fn func() *proto.Msg) *proto.Msg {
-	if cs.fwdSem == nil {
-		cs.fwdSem = make(chan struct{}, maxConnForwards)
-	}
-	cs.fwdSem <- struct{}{}
-	cs.fwd.Add(1)
+// answer closes tr's hop span on resp and queues it as the response to a
+// request acquired on cs, without ever waiting for this client: it runs
+// on peer connections' readers, which every client connection shares.
+func (cs *connState) answer(tr *proto.SpanRec, resp *proto.Msg) {
+	cs.Answer(proto.Outgoing{Msg: cs.s.finishTrace(tr, resp), Pooled: true})
+}
+
+// goForward answers a forwarded read asynchronously through the
+// connection's writer: it crosses a blocking network round trip and must
+// not stall the requests pipelined behind it on this connection.
+// Responses may complete out of order; clients demux by Seq.
+func (s *Server) goForward(cs *connState, tr *proto.SpanRec, fn func() *proto.Msg) *proto.Msg {
+	cs.Acquire()
 	go func() {
-		defer func() {
-			<-cs.fwdSem
-			cs.fwd.Done()
-		}()
-		out <- proto.Outgoing{Msg: s.finishTrace(tr, fn()), Pooled: true}
+		defer cs.Release()
+		cs.Out <- proto.Outgoing{Msg: s.finishTrace(tr, fn()), Pooled: true}
 	}()
 	return nil
 }
@@ -699,7 +707,7 @@ func (s *Server) dispatch(m *proto.Msg, conn net.Conn, cs *connState, out chan p
 		s.clMu.RUnlock()
 		if target != "" {
 			seq, key := m.Seq, m.Key
-			return s.goForward(cs, out, tr, func() *proto.Msg {
+			return s.goForward(cs, tr, func() *proto.Msg {
 				return s.forwardGet(seq, key, target, fill)
 			})
 		}
@@ -708,14 +716,14 @@ func (s *Server) dispatch(m *proto.Msg, conn net.Conn, cs *connState, out chan p
 	case proto.MsgMGet, proto.MsgMFill:
 		s.c.MGetKeys.Add(uint64(len(m.Keys)))
 		s.batchSize.Observe(float64(len(m.Keys)))
-		return s.dispatchMGet(m, cs, out, tr, m.Type == proto.MsgMFill)
+		return s.dispatchMGet(m, cs, tr, m.Type == proto.MsgMFill)
 	case proto.MsgPut:
 		s.c.Puts.Inc()
-		return s.dispatchWrites(m, cs, out, tr)
+		return s.dispatchWrites(m, cs, tr)
 	case proto.MsgMPut:
 		s.c.MPutKeys.Add(uint64(len(m.Ops)))
 		s.batchSize.Observe(float64(len(m.Ops)))
-		return s.dispatchWrites(m, cs, out, tr)
+		return s.dispatchWrites(m, cs, tr)
 	case proto.MsgSubscribe:
 		ns := &subscriber{name: m.Key, out: out, conn: conn}
 		s.mu.Lock()
@@ -755,9 +763,9 @@ func (s *Server) dispatch(m *proto.Msg, conn net.Conn, cs *connState, out chan p
 			// pipelined behind this report.
 			go s.forwardReports(stray)
 		}
-		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
+		return pong(m.Seq)
 	case proto.MsgPing:
-		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
+		return pong(m.Seq)
 	case proto.MsgStats:
 		// The registry's legacy wire-map view; the same registry backs
 		// /metrics, so both surfaces always agree.
@@ -778,11 +786,19 @@ func (s *Server) dispatch(m *proto.Msg, conn net.Conn, cs *connState, out chan p
 		// that ride along are banked, not applied.
 		s.applyRestore(m.Ops, m.Freqs, m.Version, true)
 		s.c.RepWritesIn.Inc()
-		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
+		return pong(m.Seq)
 	default:
 		s.c.MalformedFrames.Inc()
 		return errMsg(m.Seq, "store: unexpected message %v", m.Type)
 	}
+}
+
+// pong builds the bare acknowledgement. It is sent Pooled like every
+// dispatch answer, so it is drawn from the pool it will be returned to.
+func pong(seq uint64) *proto.Msg {
+	resp := proto.GetMsg()
+	resp.Type, resp.Seq = proto.MsgPong, seq
+	return resp
 }
 
 func (s *Server) getResp(m *proto.Msg) *proto.Msg {

@@ -435,3 +435,53 @@ func TestMissAllocationPin(t *testing.T) {
 		t.Errorf("a miss through the LB allocates %.0f objects, budget is 4", allocs)
 	}
 }
+
+// TestWriteAllocationPin holds the write path to its budget: a 1 KiB PUT
+// through client → LB → owning store → replica (R = 2) and back. Measured:
+// 12 while the LB and the primary each handed the PUT to a goroutine (at
+// the LB a copy of the value and the dispatcher's closure; at the primary a
+// one-op slice, a second copy of the value, the forward goroutine's two
+// closures, the leg list and its index, the tracker counts; at the replica
+// a fresh ack), 2 now that the PUT is relayed from the LB's read loop and
+// acknowledged from the replica connection's reader — the primary's and
+// the replica's resident copy of the value, which must remain. The pin is
+// 2 + 2.
+func TestWriteAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own and makes sync.Pool drop objects")
+	}
+	// T of an hour: no flush, push or read report runs while allocations
+	// are counted. The stores heartbeat twice a second (lease / 8) — a few
+	// allocations each, lost in the per-PUT average over 2000 runs.
+	cl := startFailoverCluster(t, time.Hour, 4*time.Second, 2, 2, 1)
+	c := freshcache.NewClient(cl.lbAddr, freshcache.ClientOptions{})
+	t.Cleanup(func() { c.Close() })
+	const universe = 256
+	keys := make([]string, universe)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("written-%d", i)
+	}
+	value := make([]byte, 1024)
+	next := 0
+	put := func() {
+		if _, err := c.Put(keys[next%universe], value); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		next++
+	}
+	for i := 0; i < 4*universe; i++ { // connections up, pools, scratch and intern tables warm
+		put()
+	}
+	before := [2]map[string]uint64{cl.stores[0].Metrics().StatsMap(), cl.stores[1].Metrics().StatsMap()}
+	allocs := testing.AllocsPerRun(2000, put)
+	for i, st := range cl.stores {
+		after := st.Metrics().StatsMap()
+		if after["puts"] == before[i]["puts"] || after["rep_writes_in"] == before[i]["rep_writes_in"] {
+			t.Fatalf("store %d took puts %d → %d, replica pushes %d → %d: the pin must cover both stores as primary and as replica",
+				i, before[i]["puts"], after["puts"], before[i]["rep_writes_in"], after["rep_writes_in"])
+		}
+	}
+	if allocs > 4 {
+		t.Errorf("a replicated PUT through the LB allocates %.0f objects, budget is 4", allocs)
+	}
+}

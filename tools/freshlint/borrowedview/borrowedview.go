@@ -12,14 +12,23 @@
 // client.Completion): the client decodes every frame into that one Msg
 // and its byte slices alias the connection's read buffer, so it — and
 // its slice fields — are valid only until Complete returns, and it is
-// not the completion's to release. client.DecodeMGet hands back the lent
-// Msg's own op list and client.DecodeGet its value, so their results are
-// lent on the same terms.
+// not the completion's to release. client.DecodeMGet and DecodeMPut hand
+// back the lent Msg's own op list and client.DecodeGet its value, so their
+// results are lent on the same terms.
+//
+// And it covers the request a connection's read loop hands a function that
+// starts an asynchronous client verb (Client.PutAsync, MPutAsync,
+// RestoreAsync, ...): the verb encodes the request bytes it is given before
+// it returns precisely so that they may be the reader's own — which makes
+// the function's *proto.Msg parameter, its slices, and the locals cut from
+// them, lent until the function returns. The record that outlives the call
+// (a pooled relay, a countdown of legs) keeps a copy or nothing.
 package borrowedview
 
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"freshcache/tools/freshlint/analysis"
 	"freshcache/tools/freshlint/internal/lintutil"
@@ -48,7 +57,14 @@ The *proto.Msg parameter of a completion — a method
 Complete(resp *proto.Msg, err error) — is borrowed the same way, together
 with every slice reachable through it (resp.Value, resp.Ops,
 resp.Ops[i].Value, ...): it may be read and passed down, but not
-retained, written through, or handed to proto.PutMsg.`,
+retained, written through, or handed to proto.PutMsg.
+
+In a function that calls an asynchronous verb of client.Client (a method
+whose name ends in Async), a *proto.Msg parameter is the request the
+connection's reader lent it. Its slices, and local variables assigned
+from them, may be read, passed down and written into the reader's own Msg,
+but not stored in struct fields, package-level variables, map or slice
+elements, or sent on channels.`,
 	Run: run,
 }
 
@@ -69,9 +85,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 //	value, ver, w, ok := auth.GetViewAged(key)     // value borrowed
 //	auth.GetViewAgedBatch(keys, func(i int, value []byte, ...) {...})
 //	b := frame.Bytes()                             // b borrowed
-//	ops, err := client.DecodeMGet(resp, keys)      // ops borrowed (resp.Ops)
+//	ops, err := client.DecodeMGet(resp, keys)      // ops borrowed (resp.Ops); DecodeMPut too
 //	value, ver, err := client.DecodeGet(resp, key) // value borrowed (resp.Value)
 //	func (c *T) Complete(resp *proto.Msg, err error) // resp lent
+//	func relay(m *proto.Msg) { owner.PutAsync(m.Key, m.Value, 0, p) } // m lent
+//	ops := m.Ops                                   // ops as lent as m
 func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 	borrowed := make(map[*types.Var]string)
 	mark := func(expr ast.Expr, what string) {
@@ -94,6 +112,9 @@ func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 				if resp := completionMsg(pass, n); resp != nil {
 					mark(resp, lentMsg)
 				}
+				for _, req := range asyncRequests(pass, n) {
+					mark(req, lentReq)
+				}
 			case *ast.AssignStmt:
 				if len(n.Rhs) != 1 {
 					return true
@@ -109,7 +130,8 @@ func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 					mark(n.Lhs[0], "Authority."+fn.Name())
 				case lintutil.IsMethod(fn, protoPkg, "SharedFrame", "Bytes"):
 					mark(n.Lhs[0], "SharedFrame.Bytes")
-				case lintutil.IsPkgFunc(fn, clientPkg, "DecodeMGet"):
+				case lintutil.IsPkgFunc(fn, clientPkg, "DecodeMGet"),
+					lintutil.IsPkgFunc(fn, clientPkg, "DecodeMPut"):
 					mark(n.Lhs[0], lentMsg+"'s ops")
 				case lintutil.IsPkgFunc(fn, clientPkg, "DecodeGet"):
 					mark(n.Lhs[0], lentMsg+"'s value")
@@ -133,11 +155,86 @@ func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 			return true
 		})
 	}
+	// A local cut from a lent request is as lent as the request: follow
+	// x := m.Ops and the like until nothing new turns up.
+	for grew := true; grew; {
+		grew = false
+		for _, file := range pass.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok || len(as.Lhs) != len(as.Rhs) {
+					return true
+				}
+				for i, lhs := range as.Lhs {
+					v := lintutil.VarOf(pass.TypesInfo, lhs)
+					if v == nil || v.Parent() == pass.Pkg.Scope() || borrowed[v] != "" {
+						continue
+					}
+					if borrowed[rootVar(pass, as.Rhs[i])] == lentReq && holdsSlice(v.Type()) {
+						borrowed[v] = lentReq
+						grew = true
+					}
+				}
+				return true
+			})
+		}
+	}
 	return borrowed
 }
 
-// lentMsg labels the response Msg lent to a completion.
-const lentMsg = "completion's lent Msg"
+// lentMsg labels the response Msg lent to a completion, lentReq the
+// request a read loop lends a function that starts an asynchronous verb.
+const (
+	lentMsg = "completion's lent Msg"
+	lentReq = "reader's lent request"
+)
+
+// asyncRequests returns fd's *proto.Msg parameters if its body starts an
+// asynchronous client verb: they are the requests being relayed.
+func asyncRequests(pass *analysis.Pass, fd *ast.FuncDecl) []*ast.Ident {
+	if fd.Body == nil {
+		return nil
+	}
+	starts := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && !starts {
+			fn := lintutil.Callee(pass.TypesInfo, call)
+			starts = fn != nil && strings.HasSuffix(fn.Name(), "Async") && lintutil.IsMethod(fn, clientPkg, "Client", fn.Name())
+		}
+		return !starts
+	})
+	if !starts {
+		return nil
+	}
+	var reqs []*ast.Ident
+	for _, p := range fd.Type.Params.List {
+		for _, name := range p.Names {
+			if obj := pass.TypesInfo.Defs[name]; obj != nil {
+				if _, isPtr := obj.Type().(*types.Pointer); isPtr && lintutil.TypeIs(obj.Type(), protoPkg, "Msg") {
+					reqs = append(reqs, name)
+				}
+			}
+		}
+	}
+	return reqs
+}
+
+// rootVar resolves the variable an expression is reached through:
+// m.Ops[i].Value, m.Ops[:2] and m itself all root at m.
+func rootVar(pass *analysis.Pass, expr ast.Expr) *types.Var {
+	for {
+		switch e := ast.Unparen(expr).(type) {
+		case *ast.SelectorExpr:
+			expr = e.X
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.SliceExpr:
+			expr = e.X
+		default:
+			return lintutil.VarOf(pass.TypesInfo, e)
+		}
+	}
+}
 
 // completionMsg returns the name of the lent response parameter if fd
 // is a completion method — Complete(resp *proto.Msg, err error) — or nil.
@@ -201,22 +298,7 @@ func checkUses(pass *analysis.Pass, file *ast.File, borrowed map[*types.Var]stri
 		// A slice reached through a borrowed value (view[4:], resp.Value,
 		// resp.Ops[i].Value), or an element that carries one
 		// (resp.Ops[i]), is as borrowed as the value.
-		root := expr
-		for {
-			switch e := ast.Unparen(root).(type) {
-			case *ast.SelectorExpr:
-				root = e.X
-				continue
-			case *ast.IndexExpr:
-				root = e.X
-				continue
-			case *ast.SliceExpr:
-				root = e.X
-				continue
-			}
-			break
-		}
-		what, ok := borrowed[lintutil.VarOf(pass.TypesInfo, root)]
+		what, ok := borrowed[rootVar(pass, expr)]
 		if !ok || !holdsSlice(pass.TypesInfo.TypeOf(expr)) {
 			return borrowedRef{}, false
 		}
@@ -226,9 +308,10 @@ func checkUses(pass *analysis.Pass, file *ast.File, borrowed map[*types.Var]stri
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
-				// Mutation: view[i] = x writes the authority's buffer.
+				// Mutation: view[i] = x writes the authority's buffer. (A
+				// lent request is the connection's own to scribble on.)
 				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-					if b, ok := isBorrowed(ix.X); ok {
+					if b, ok := isBorrowed(ix.X); ok && b.what != lentReq {
 						pass.Reportf(ix.Pos(), "write into borrowed %s buffer %s: the view is immutable; use a copying accessor", b.what, b.name)
 					}
 				}
@@ -267,11 +350,11 @@ func checkUses(pass *analysis.Pass, file *ast.File, borrowed map[*types.Var]stri
 			}
 			switch fn.Name {
 			case "copy":
-				if b, ok := isBorrowed(n.Args[0]); ok {
+				if b, ok := isBorrowed(n.Args[0]); ok && b.what != lentReq {
 					pass.Reportf(n.Args[0].Pos(), "copy into borrowed %s buffer %s: the view is immutable; use a copying accessor", b.what, b.name)
 				}
 			case "append":
-				if b, ok := isBorrowed(n.Args[0]); ok {
+				if b, ok := isBorrowed(n.Args[0]); ok && b.what != lentReq {
 					pass.Reportf(n.Args[0].Pos(), "append to borrowed %s buffer %s may write its backing array: build a fresh slice instead", b.what, b.name)
 				}
 			}

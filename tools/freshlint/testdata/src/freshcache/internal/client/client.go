@@ -1,9 +1,23 @@
 // Package client is a fixture stub of the freshcache/internal/client
-// functions the analyzers match: DecodeMGet and DecodeGet, whose results
-// alias the response they decode.
+// names the analyzers match: DecodeMGet and DecodeGet, whose results
+// alias the response they decode, and the asynchronous write verbs, which
+// borrow the request bytes they are handed until they return.
 package client
 
 import "freshcache/internal/proto"
+
+type Completion interface {
+	Complete(resp *proto.Msg, err error)
+}
+
+type Client struct{}
+
+func (c *Client) PutAsync(key string, value []byte, traceID uint64, done Completion) {}
+
+func (c *Client) MPutAsync(ops []proto.BatchOp, traceID uint64, done Completion) {}
+
+func (c *Client) RestoreAsync(ops []proto.BatchOp, freqs []proto.KeyFreq, fence, traceID uint64, done Completion) {
+}
 
 func DecodeMGet(resp *proto.Msg, keys []string) ([]proto.BatchOp, error) {
 	return resp.Ops, nil

@@ -28,6 +28,11 @@ type BatchOp struct {
 	Version uint64
 }
 
+type KeyFreq struct {
+	Key           string
+	Reads, Writes uint64
+}
+
 func GetMsg() *Msg  { return &Msg{} }
 func PutMsg(m *Msg) {}
 
