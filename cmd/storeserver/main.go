@@ -1,7 +1,7 @@
 // Command storeserver runs the freshcache backing store: the
 // authoritative KV plus the write-reactive freshness flusher that pushes
-// batched invalidates/updates to subscribed caches once per staleness
-// bound T (Figure 4 of the paper).
+// batched invalidates/updates to subscribed caches, every write within the
+// staleness bound T and no key more than once per T (Figure 4 of the paper).
 //
 // Usage:
 //
@@ -45,7 +45,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7001", "listen address")
 	shard := flag.String("shard", "", "shard identity echoed to subscribers (default shard@addr)")
-	t := flag.Duration("t", 500*time.Millisecond, "staleness bound / batching interval")
+	t := flag.Duration("t", 500*time.Millisecond, "staleness bound: the longest a write waits for its push")
 	slo := flag.Float64("slo", 0, "staleness-miss-ratio SLO (0 disables)")
 	cm := flag.Float64("cm", 0, "miss cost c_m (0 = derive)")
 	ci := flag.Float64("ci", 0, "invalidate cost c_i (0 = derive)")

@@ -164,8 +164,8 @@ type Decider = core.Decider
 type EngineConfig = core.Config
 
 // Engine is the store-side policy engine: it observes reads and writes,
-// buffers dirty keys, and emits one batched decision set per staleness
-// interval.
+// buffers dirty keys, and emits batched decisions — every write within the
+// staleness bound, no key twice within it.
 type Engine = core.Engine
 
 // NewEngine builds a policy engine.

@@ -18,9 +18,18 @@
 //   - Decider: the stateless-per-call decision rule over a Tracker, used
 //     directly by the simulator (uint64 key identities).
 //   - Engine: a concurrency-safe, string-keyed batching engine for live
-//     deployments: writes are buffered and flushed once per staleness
-//     bound T, already-invalidated keys are deduplicated, and decisions
-//     are emitted as a batch the store pushes to its caches (Figure 4).
+//     deployments: written keys are buffered, already-invalidated keys
+//     are deduplicated, and decisions are emitted in batches the store
+//     pushes to its caches (Figure 4).
+//
+// The engine flushes on the leading edge, with a cooldown. The caller
+// divides the staleness bound T into Slices slices and calls FlushSlice at
+// each boundary. A dirty key not pushed during the last Slices slices goes
+// out at once; one that was — or that nobody has read yet, so no cache can
+// hold it — is held until that cooldown ends and then goes out once, with
+// whatever was written meanwhile. So every write is pushed within T of
+// being observed, no key more than once per T, and a key that is read, and
+// written less than once per T, within T/Slices.
 package core
 
 import (
@@ -110,7 +119,13 @@ func (d *Decider) Update(key uint64) bool {
 type Decision struct {
 	Key    string
 	Action Action
+	Since  int64 // stamp of the oldest write covered (see ObserveWriteAt)
+	Held   bool  // the key was held for a cooldown first
 }
+
+// Slices is the number of flush slices per staleness bound T, and so the
+// length of a pushed key's cooldown.
+const Slices = 16
 
 // Config configures an Engine.
 type Config struct {
@@ -130,12 +145,21 @@ type Config struct {
 
 // Engine is the store-side (or proxy-side) policy engine of Figure 4:
 // it observes the request stream, buffers written keys, and at each
-// staleness interval emits one batched decision per dirty key.
+// slice boundary emits one batched decision per dirty key that is due.
 // Engine is safe for concurrent use.
 type Engine struct {
-	mu          sync.Mutex
-	decider     Decider
-	dirty       map[string]struct{}
+	mu      sync.Mutex
+	decider Decider
+	// keys holds every key that is dirty, cooling, or both. A dirty key
+	// that is not cooling is also in ready; a cooling key is also in the
+	// wheel bucket of the slice it was pushed in, for Slices slices.
+	keys  map[string]keyState
+	ready []string
+	wheel [Slices][]string
+	held  int    // keys both cooling and dirty
+	slice uint64 // the last slice flushed, counted with skew
+	skew  uint64 // slices Flush has put the engine ahead of FlushSlice's caller
+
 	invalidated map[string]uint64 // key -> epoch of invalidation, for LRU-ish eviction
 	epoch       uint64
 	maxInv      int
@@ -163,7 +187,7 @@ func NewEngine(cfg Config) *Engine {
 	}
 	return &Engine{
 		decider:     Decider{Tracker: tr, Costs: costs, SLO: cfg.SLO},
-		dirty:       make(map[string]struct{}),
+		keys:        make(map[string]keyState),
 		invalidated: make(map[string]uint64),
 		maxInv:      maxInv,
 	}
@@ -190,12 +214,31 @@ func (e *Engine) ObserveReadN(key string, n uint32) {
 	e.mu.Unlock()
 }
 
-// ObserveWrite records a write of key and marks it dirty for the next
-// flush.
-func (e *Engine) ObserveWrite(key string) {
+// keyState is what the engine remembers of a dirty or cooling key.
+type keyState struct {
+	since   int64 // stamp of the oldest unpushed write; clean if none
+	cooling bool  // pushed within the last Slices slices
+}
+
+const clean = math.MinInt64
+
+// ObserveWrite records a write of key and marks it dirty.
+func (e *Engine) ObserveWrite(key string) { e.ObserveWriteAt(key, 0) }
+
+// ObserveWriteAt is ObserveWrite with a stamp, a reading of any clock the
+// caller likes: the Decision that covers this write carries the stamp of
+// the oldest write it covers.
+func (e *Engine) ObserveWriteAt(key string, at int64) {
 	e.mu.Lock()
 	e.decider.ObserveWrite(sketch.Hash(key))
-	e.dirty[key] = struct{}{}
+	switch st, known := e.keys[key]; {
+	case !known:
+		e.keys[key] = keyState{since: at}
+		e.ready = append(e.ready, key)
+	case st.since == clean: // cooling: held until the cooldown ends
+		e.keys[key] = keyState{since: at, cooling: true}
+		e.held++
+	}
 	e.mu.Unlock()
 }
 
@@ -240,31 +283,87 @@ func (e *Engine) NoteFilled(key string) {
 	e.mu.Unlock()
 }
 
-// DirtyCount returns the number of keys written since the last flush.
+// DirtyCount returns the number of keys with a write no flush has covered
+// yet, whether they are due at the next slice or held by a cooldown.
 func (e *Engine) DirtyCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.dirty)
+	return len(e.ready) + e.held
 }
 
-// Flush drains the dirty set and returns one decision per dirty key,
-// sorted by key for deterministic output. Keys decided as invalidate are
-// remembered so later writes do not re-invalidate them until the cache
-// refills (NoteFilled).
+// FlushSlice flushes slice boundary n: it appends to out one decision per
+// dirty key that has been read and was not pushed during the last Slices
+// slices — cooldowns ending at n, or at a number the caller skipped,
+// included — and returns it. A decision that sends a message starts its
+// key's cooldown; ActionNone sends nothing and starts none. Keys decided as
+// invalidate are remembered so later writes do not re-invalidate them until
+// the cache refills (NoteFilled).
+func (e *Engine) FlushSlice(n uint64, out []Decision) []Decision {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.flushLocked(n+e.skew, out, false)
+}
+
+// Flush drains everything dirty at once, as if a whole T had just passed
+// and ended every cooldown: one decision per dirty key, sorted by key for
+// deterministic output.
 func (e *Engine) Flush() []Decision {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.flushes++
-	if len(e.dirty) == 0 {
-		return nil
-	}
-	out := make([]Decision, 0, len(e.dirty))
-	for key := range e.dirty {
-		out = append(out, Decision{Key: key, Action: e.decideLocked(key)})
-	}
-	e.dirty = make(map[string]struct{})
+	e.skew += Slices
+	out := e.flushLocked(e.slice+Slices, nil, true)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
+}
+
+func (e *Engine) flushLocked(n uint64, out []Decision, everything bool) []Decision {
+	e.flushes++
+	prev := e.slice
+	e.slice = max(n, prev)
+	from := prev + 1
+	if from+Slices <= e.slice {
+		from = e.slice - Slices + 1 // every bucket once
+	}
+	// Newest bucket first: a key pushed again goes to the current slice's
+	// bucket, behind the read position there, not into one yet to come.
+	for m := e.slice; m >= from; m-- {
+		due := e.wheel[m%Slices]
+		e.wheel[m%Slices] = due[:0]
+		for _, key := range due {
+			since := e.keys[key].since
+			delete(e.keys, key)
+			if since != clean {
+				e.held--
+				out = e.pushLocked(out, key, since, true)
+			}
+		}
+	}
+	for _, key := range e.ready {
+		since := e.keys[key].since
+		if !everything && prev+Slices > e.slice && e.decider.Tracker.Reads(sketch.Hash(key)) == 0 {
+			// Nobody has read it, so no cache holds a copy to refresh
+			// early (a bulk load, say): hold it as if it had been pushed
+			// at the last flush, which was before its write.
+			e.keys[key] = keyState{since: since, cooling: true}
+			e.held++
+			e.wheel[prev%Slices] = append(e.wheel[prev%Slices], key)
+			continue
+		}
+		out = e.pushLocked(out, key, since, false)
+	}
+	e.ready = e.ready[:0]
+	return out
+}
+
+func (e *Engine) pushLocked(out []Decision, key string, since int64, held bool) []Decision {
+	action := e.decideLocked(key)
+	if action == ActionNone {
+		delete(e.keys, key)
+	} else {
+		e.keys[key] = keyState{since: clean, cooling: true}
+		e.wheel[e.slice%Slices] = append(e.wheel[e.slice%Slices], key)
+	}
+	return append(out, Decision{Key: key, Action: action, Since: since, Held: held})
 }
 
 func (e *Engine) decideLocked(key string) Action {

@@ -5,8 +5,10 @@
 // served by a capacity-limited LRU cache and fill it on miss; writes go
 // directly to the backing store; freshness machinery — TTL timers or
 // store-side batched invalidates/updates flushed once per staleness bound
-// T — keeps resident copies within the bound. Costs are accounted exactly
-// as §2 defines them:
+// T — keeps resident copies within the bound. (The live store flushes a
+// key not pushed in the last T at once, see internal/core; this pure tick
+// over-states staleness for keys written less than once per T.) Costs are
+// accounted exactly as §2 defines them:
 //
 //   - C_S: reads that found the object resident but unusable because it
 //     was stale (TTL expired or invalidated);

@@ -315,8 +315,9 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, tr *proto.SpanRec) 
 	}
 	s.clMu.RUnlock()
 
+	at := now.UnixNano()
 	for _, lw := range local {
-		s.engine.ObserveWrite(ops[lw.i].Key)
+		s.engine.ObserveWriteAt(ops[lw.i].Key, at)
 	}
 	sc.local = local[:0]
 	w.ops = w.ops[:0]

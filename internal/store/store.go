@@ -1,14 +1,15 @@
 // Package store implements the backing data store of Figure 4: the
 // authoritative versioned KV, the write intake, and the write-reactive
-// freshness machinery — a core.Engine that buffers written keys and, once
-// per staleness bound T, pushes one batched frame of invalidates and
-// updates to every subscribed cache.
+// freshness machinery — a core.Engine that buffers written keys and, within
+// the staleness bound T of each write, pushes it in a batched frame of
+// invalidates and updates to every subscribed cache (see flusher).
 //
-// Delivery is epoch-numbered: every flush (even an empty one) increments
-// the epoch and is pushed as a heartbeat, so a cache that misses a frame
-// detects the gap from the next frame's epoch and resynchronizes. A
-// subscriber that cannot keep up (full push queue) is disconnected rather
-// than buffered without bound; it will reconnect and resynchronize.
+// Delivery is epoch-numbered: every frame increments the epoch, and an
+// empty one is pushed as a heartbeat when T passes without any, so a cache
+// that misses a frame detects the gap from the next frame's epoch (or the
+// silence) and resynchronizes. A subscriber that cannot keep up (full push
+// queue) is disconnected rather than buffered without bound; it will
+// reconnect and resynchronize.
 package store
 
 import (
@@ -37,8 +38,8 @@ type Config struct {
 	// cache can tell when a different store has taken over an address
 	// (and must resynchronize that shard). Defaults to "store".
 	ShardID string
-	// T is the staleness bound: the batching interval of the freshness
-	// flusher. Defaults to 1s.
+	// T is the staleness bound: the longest the freshness flusher holds
+	// a write back. Defaults to 1s.
 	T time.Duration
 	// Engine configures the adaptive policy engine (costs, tracker,
 	// SLO). The zero value uses the engine defaults.
@@ -101,6 +102,8 @@ type Counters struct {
 	BatchEncodes            stats.Counter
 	InvalidatesSent         stats.Counter
 	UpdatesSent             stats.Counter
+	PushesLeading           stats.Counter
+	PushesCooldown          stats.Counter
 	SubscribersDropped      stats.Counter
 	MalformedFrames         stats.Counter
 	ConnectionsAccepted     stats.Counter
@@ -145,6 +148,17 @@ type Server struct {
 	// operations (MGET/MFILL/MPUT) — the amortization factor of the
 	// batched hot path made visible.
 	batchSize stats.Histogram
+	// flushDwell is how long a pushed key's oldest unpushed write waited
+	// for its flush (nanoseconds): the store's share of write-to-visible.
+	flushDwell stats.Histogram
+
+	// flushMu serializes flushes — frames reach every subscriber in epoch
+	// order — and guards their scratch and the heartbeat's slice.
+	flushMu   sync.Mutex
+	decisions []core.Decision
+	ops       []proto.BatchOp
+	pushSubs  []*subscriber
+	lastBatch uint64
 
 	mu    sync.Mutex
 	subs  map[*subscriber]struct{}
@@ -303,6 +317,8 @@ func (s *Server) buildRegistry() *stats.Registry {
 	r.LabeledCounter("freshcache_store_push_decisions_total",
 		"Freshness push decisions by action.",
 		[]string{"action"}, []string{"update"}, "updates_sent", &s.c.UpdatesSent)
+	counter("pushes_leading_total", "Keys pushed at the first slice after their write.", "pushes_leading", &s.c.PushesLeading)
+	counter("pushes_cooldown_total", "Keys pushed after being held: for their cooldown, or for want of a reader.", "pushes_cooldown", &s.c.PushesCooldown)
 
 	gauge("subscribers", "Currently subscribed caches.", "subscribers", func() float64 {
 		s.mu.Lock()
@@ -360,6 +376,9 @@ func (s *Server) buildRegistry() *stats.Registry {
 	r.Histogram("freshcache_store_replication_rtt_seconds",
 		"Replication fan-out latency per acknowledged write.",
 		stats.LatencySecondsBuckets, 1e9, "", &s.repRTT)
+	r.Histogram("freshcache_store_flush_dwell_seconds",
+		"Time a pushed key's oldest unpushed write waited for its flush.",
+		stats.LatencySecondsBuckets, 1e9, "", &s.flushDwell)
 	r.Histogram("freshcache_store_batch_size",
 		"Keys per multi-key request (MGET/MFILL/MPUT).",
 		stats.BatchSizeBuckets, 1, "batch_size_samples", &s.batchSize)
@@ -470,69 +489,97 @@ func (s *Server) closePeers() {
 	s.peerMu.Unlock()
 }
 
-// flusher runs the paper's interval-T batching loop: drain the policy
-// engine, build one batch frame, push it to every subscriber.
+// flusher drives the engine's leading-edge flush (see package core): at
+// each of the core.Slices slice boundaries per T it pushes the dirty keys
+// that have a reader and were not pushed within the last T — a write goes
+// out within T, a key at most once per T, a write to a quiet key within
+// T/core.Slices. Slice numbers come from the wall clock, so a late tick
+// stretches no cooldown.
 func (s *Server) flusher(ctx context.Context) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.T)
+	ticker := time.NewTicker(max(s.cfg.T/core.Slices, min(s.cfg.T, time.Millisecond)))
 	defer ticker.Stop()
+	start := time.Now()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			s.flushOnce()
+			s.flushOnce(uint64(time.Since(start))*core.Slices/uint64(s.cfg.T), false)
 		}
 	}
 }
 
-// flushOnce performs one epoch flush. Exported through TestFlush for
-// deterministic tests.
-func (s *Server) flushOnce() {
-	decisions := s.engine.Flush()
-	forwarded := s.fwdDirty.take()
-	ops := make([]proto.BatchOp, 0, len(decisions)+len(forwarded))
+// flushOnce flushes slice n — or with everything set, all that is dirty,
+// cooldowns ignored — as one epoch frame. A slice with nothing to push
+// sends nothing, unless a whole T has passed without a frame: the caches
+// take a longer silence for a dead channel.
+func (s *Server) flushOnce(n uint64, everything bool) {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	s.decisions = s.decisions[:0]
+	if everything {
+		s.decisions = append(s.decisions, s.engine.Flush()...)
+	} else {
+		s.decisions = s.engine.FlushSlice(n, s.decisions)
+	}
+	ops := s.ops[:0]
 	// Keys whose writes this store forwarded to their new owner during
 	// a handoff: the local engine never observed those writes, but the
 	// caches still subscribed here under the old ring epoch hold copies
 	// that just went stale. Push an invalidate so they refetch (the
 	// fill is forwarded too); an update is impossible — the local copy
 	// no longer reflects the authority.
-	for _, key := range forwarded {
+	for _, key := range s.fwdDirty.take() {
 		ops = append(ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: key})
-		s.c.InvalidatesSent.Inc()
 	}
-	for _, d := range decisions {
+	now, updates := time.Now().UnixNano(), 0
+	for _, d := range s.decisions {
+		op := proto.BatchOp{Kind: proto.BatchInvalidate, Key: d.Key}
 		switch d.Action {
-		case core.ActionInvalidate:
-			ops = append(ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: d.Key})
-			s.c.InvalidatesSent.Inc()
+		case core.ActionNone:
+			continue
 		case core.ActionUpdate:
 			// GetView: entries are immutable once installed, so the
 			// borrowed value stays a stable snapshot through the encode
-			// below without a copy.
-			value, version, ok := s.auth.GetView(d.Key)
-			if !ok {
-				// Deleted between write and flush; invalidate instead.
-				ops = append(ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: d.Key})
-				s.c.InvalidatesSent.Inc()
-				continue
+			// without a copy. A key deleted since is invalidated instead.
+			if value, version, ok := s.auth.GetView(d.Key); ok {
+				op = proto.BatchOp{Kind: proto.BatchUpdate, Key: d.Key, Value: value, Version: version}
+				updates++
 			}
-			ops = append(ops, proto.BatchOp{
-				Kind: proto.BatchUpdate, Key: d.Key, Value: value, Version: version,
-			})
-			s.c.UpdatesSent.Inc()
 		}
+		if d.Held {
+			s.c.PushesCooldown.Inc()
+		} else {
+			s.c.PushesLeading.Inc()
+		}
+		if d.Since != 0 {
+			s.flushDwell.Observe(float64(now - d.Since))
+		}
+		ops = append(ops, op)
 	}
+	s.c.UpdatesSent.Add(uint64(updates))
+	s.c.InvalidatesSent.Add(uint64(len(ops) - updates))
+	if len(ops) > 0 || everything || n-s.lastBatch >= core.Slices {
+		s.lastBatch = max(s.lastBatch, n) // TestFlush has no slice number
+		s.pushBatch(ops)
+	}
+	clear(ops) // the borrowed values must not outlive the encode
+	s.ops = ops[:0]
+}
 
+// pushBatch sends ops (none: a heartbeat) to every subscriber as the next
+// epoch's frame.
+func (s *Server) pushBatch(ops []proto.BatchOp) {
 	s.mu.Lock()
 	s.epoch++
 	batch := proto.Msg{Type: proto.MsgBatch, Epoch: s.epoch, Ops: ops}
-	subs := make([]*subscriber, 0, len(s.subs))
+	subs := s.pushSubs[:0]
 	for sub := range s.subs {
 		subs = append(subs, sub)
 	}
 	s.mu.Unlock()
+	s.pushSubs = subs
 
 	if len(subs) == 0 {
 		s.c.FlushesWithoutSubscribe.Inc()
@@ -571,9 +618,9 @@ func (s *Server) flushOnce() {
 	}
 }
 
-// TestFlush triggers one synchronous flush; exported for tests and the
-// benchmark harness (the production path is the ticker).
-func (s *Server) TestFlush() { s.flushOnce() }
+// TestFlush synchronously flushes everything dirty, cooldowns ignored: for
+// tests and the benchmark harness (the production path is the flusher).
+func (s *Server) TestFlush() { s.flushOnce(0, true) }
 
 func (s *Server) dropSubscriber(sub *subscriber) {
 	s.mu.Lock()

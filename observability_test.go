@@ -223,6 +223,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"freshcache_store_gets_total",
 		"freshcache_store_push_decisions_total{action=\"invalidate\"}",
 		"freshcache_store_replication_rtt_seconds_count",
+		// The one write went out once, after a dwell the store observed:
+		// at the next slice if the first GET's fill beat it there, held
+		// for a reader otherwise.
+		"# TYPE freshcache_store_flush_dwell_seconds histogram",
+		"freshcache_store_flush_dwell_seconds_count 1",
+		"freshcache_store_pushes_leading_total ",
+		"freshcache_store_pushes_cooldown_total ",
 	} {
 		if !strings.Contains(storeText, want) {
 			t.Errorf("store /metrics missing %q", want)
