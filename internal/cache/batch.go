@@ -131,51 +131,3 @@ func (s *Server) fillBatch(misses batchMisses, tr *proto.SpanRec) []*flight {
 	}
 	return flights
 }
-
-// mputArgs copies a batched write's keys and values out of the reader's
-// request Msg (the values alias its buffer; one backing buffer holds
-// them all — one allocation per batch, not per key).
-func mputArgs(m *proto.Msg) (keys []string, vals [][]byte, err error) {
-	n, total := len(m.Ops), 0
-	for i := range m.Ops {
-		if m.Ops[i].Kind != proto.BatchUpdate {
-			return nil, nil, fmt.Errorf("cache: MPUT op %d has kind %d, want update", i, m.Ops[i].Kind)
-		}
-		total += len(m.Ops[i].Value)
-	}
-	keys = make([]string, n)
-	vals = make([][]byte, n)
-	buf := make([]byte, 0, total)
-	for i := range m.Ops {
-		keys[i] = m.Ops[i].Key
-		if m.Ops[i].Value != nil {
-			start := len(buf)
-			buf = append(buf, m.Ops[i].Value...)
-			vals[i] = buf[start:len(buf):len(buf)]
-		}
-	}
-	return keys, vals, nil
-}
-
-// mputResp forwards a batched write to the owning store shards (writes
-// bypass the cache) and relays the per-key outcome: a key whose write
-// failed at its shard answers as BatchInvalidate, the rest carry their
-// assigned versions.
-func (s *Server) mputResp(seq uint64, keys []string, vals [][]byte, tr *proto.SpanRec) *proto.Msg {
-	s.c.Puts.Add(uint64(len(keys)))
-	results, pts := s.stores.MPutTraced(keys, vals, tr.ID())
-	for _, pt := range pts {
-		tr.Add(pt)
-	}
-	resp := proto.GetMsg()
-	resp.Type, resp.Seq = proto.MsgMPutResp, seq
-	resp.Ops = make([]proto.BatchOp, len(keys))
-	for i, r := range results {
-		if r.Err != nil {
-			resp.Ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: keys[i]}
-			continue
-		}
-		resp.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Version: r.Version}
-	}
-	return resp
-}

@@ -6,9 +6,10 @@
 //     per key however many reads miss on it meanwhile, and no goroutine
 //     per miss: a GET parks on its key's flight and is answered by the
 //     fill's completion, on the store connection's reader (see flight);
-//   - forwards PUTs to the owning store shard (writes bypass the cache),
-//     the same way: started from the read loop, answered from the store
-//     connection's reader (see putRelay);
+//   - forwards PUTs and MPUTs to the owning store shards (writes bypass
+//     the cache), the same way: started from the read loop, answered from
+//     the store connection's reader that brings the last shard's answer in
+//     (see forwarded);
 //   - subscribes to every store shard's batched invalidate/update pushes
 //     and applies them, detecting lost epochs per shard and
 //     resynchronizing only that shard's keys;
@@ -705,72 +706,69 @@ func (s *Server) Put(key string, value []byte) (uint64, error) {
 	return s.stores.Put(key, value)
 }
 
-// putRelay is one client PUT in flight to its owning store — the same
-// record, with the same rules, as the balancer's (lb.putRelay): started
-// from the connection's read loop with the reader's own value, answered
-// from the store connection's reader, and holding a scratch copy of the
-// value only for the blocking retry a broken store connection calls for.
-type putRelay struct {
-	cs    *connState
-	seq   uint64
-	key   string
-	tr    *proto.SpanRec
-	owner *client.Client // the store the PUT was started on
-	value []byte
+// forwarded is one client PUT or MPUT in flight to the owning stores
+// (writes bypass the cache): started from the connection's read loop with
+// the reader's own values, split by owner, gathered and — a leg whose store
+// died — failed over by the sharded client's record, which it embeds, and
+// answered from the store connection's reader that brings the last leg in.
+// Pooled; Finish runs exactly once, which makes recycling it there safe.
+type forwarded struct {
+	client.Scatter
+	cs  *connState
+	seq uint64
+	tr  *proto.SpanRec
+	put bool // a PUT (one op, answered MsgPutResp), not an MPUT
 }
 
-var putRelayPool = sync.Pool{New: func() any { return new(putRelay) }}
+var forwardedPool = sync.Pool{New: func() any { return new(forwarded) }}
 
-// maxPooledPutValue keeps a one-off giant PUT from pinning its scratch
-// copy in the pool.
-const maxPooledPutValue = 1 << 20
-
-// relayPut forwards a PUT from the read loop; (*putRelay).Complete answers.
-func (s *Server) relayPut(cs *connState, m *proto.Msg, tr *proto.SpanRec) {
-	s.c.Puts.Inc()
-	cs.Acquire()
-	p := putRelayPool.Get().(*putRelay)
-	p.cs, p.seq, p.key, p.tr = cs, m.Seq, m.Key, tr
-	p.value = append(p.value[:0], m.Value...)
-	p.owner = s.stores.For(m.Key)
-	p.owner.PutAsync(m.Key, m.Value, tr.ID(), p)
-}
-
-// Complete runs on the store connection's reader and must not block: a
-// transport failure sends this PUT alone to a goroutine for the blocking
-// ring refresh and retry.
-func (p *putRelay) Complete(resp *proto.Msg, err error) {
-	var version uint64
-	switch {
-	case err == nil:
-		p.tr.Add(resp.Trace)
-		version, err = client.DecodePut(resp, p.key)
-	case !errors.Is(err, client.ErrClosed):
-		go p.failover(err)
-		return
-	}
-	p.answer(version, err)
-}
-
-func (p *putRelay) failover(err error) {
-	version, st, err := p.cs.s.stores.PutRetry(p.owner, p.key, p.value, p.tr.ID(), err)
-	p.tr.Add(st)
-	p.answer(version, err)
-}
-
-func (p *putRelay) answer(version uint64, err error) {
-	resp := proto.GetMsg()
-	resp.Seq = p.seq
-	if err != nil {
-		resp.Type, resp.Err = proto.MsgErr, err.Error()
+// forward starts a PUT or MPUT towards the stores from the read loop and
+// returns nil — (*forwarded).Finish answers — or, for an MPUT carrying
+// anything but updates, the refusal, before anything is counted or started.
+func (s *Server) forward(cs *connState, m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
+	ops := m.Ops
+	if m.Type == proto.MsgPut {
+		one := [1]proto.BatchOp{{Kind: proto.BatchUpdate, Key: m.Key, Value: m.Value}}
+		ops = one[:]
 	} else {
-		resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, version
+		for i := range ops {
+			if ops[i].Kind != proto.BatchUpdate {
+				return &proto.Msg{Type: proto.MsgErr, Seq: m.Seq,
+					Err: fmt.Sprintf("cache: MPUT op %d has kind %d, want update", i, ops[i].Kind)}
+			}
+		}
+		s.c.MPutKeys.Add(uint64(len(ops)))
+		s.batchSize.Observe(float64(len(ops)))
 	}
-	p.cs.answer(p.tr, resp)
-	*p = putRelay{value: p.value[:0]}
-	if cap(p.value) <= maxPooledPutValue {
-		putRelayPool.Put(p)
+	s.c.Puts.Add(uint64(len(ops)))
+	cs.Acquire()
+	w := forwardedPool.Get().(*forwarded)
+	w.cs, w.seq, w.tr, w.put = cs, m.Seq, tr, m.Type == proto.MsgPut
+	s.stores.MPutAsync(ops, tr.ID(), w)
+	return nil
+}
+
+// Finish relays the outcome: a PUT's version or error; an MPUT's key by
+// key, a key whose write failed at its shard as BatchInvalidate, the rest
+// with their assigned versions.
+func (w *forwarded) Finish() {
+	ops := w.Ops()
+	w.AddTraces(w.tr)
+	resp := proto.GetMsg()
+	resp.Seq = w.seq
+	switch {
+	case !w.put:
+		// A copy: the writer encodes resp after the record is recycled.
+		resp.Type, resp.Ops = proto.MsgMPutResp, append(resp.Ops, ops...)
+	case w.Err(0) != nil:
+		resp.Type, resp.Err = proto.MsgErr, w.Err(0).Error()
+	default:
+		resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, ops[0].Version
 	}
+	w.cs.answer(w.tr, resp)
+	w.cs, w.tr = nil, nil
+	w.Reset()
+	forwardedPool.Put(w)
 }
 
 // readStripes is the number of independently locked read-count tables —
@@ -994,11 +992,11 @@ func (cs *connState) answer(tr *proto.SpanRec, resp *proto.Msg) {
 // coalescing writer's queue (a burst of responses costs one flush, not
 // one syscall each). A GET that misses is started there too: it parks on
 // its key's flight (parkGet) and is answered from the store connection's
-// reader, and so is a forwarded PUT (relayPut). Only a batched write and an
-// MGET's misses, whose sharded store calls block, go on to a goroutine of
-// their own (carryOn). None of them stalls the pipelined requests queued
-// behind it, so responses may overtake one another; each echoes its
-// request's Seq for the client to demux.
+// reader, and so is a forwarded PUT or MPUT (forward). Only an MGET's
+// misses, whose batched fill blocks on the single-flight table, go on to a
+// goroutine of their own (carryOn). None of them stalls the pipelined
+// requests queued behind it, so responses may overtake one another; each
+// echoes its request's Seq for the client to demux.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.wg.Done()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
@@ -1036,15 +1034,15 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	conn.Close()
 }
 
-// carryOn answers a request asynchronously through the connection's
-// writer: fn is the blocking remainder (a sharded store call) of a request
-// whose non-blocking part the read loop has already done. It returns nil
-// — dispatch's "no response yet".
-func (s *Server) carryOn(cs *connState, tr *proto.SpanRec, fn func() *proto.Msg) *proto.Msg {
+// carryOn answers an MGET with misses asynchronously through the
+// connection's writer, once its blocking remainder — the batched fill — is
+// done; the lookup and its accounting the read loop has already done. It
+// returns nil — dispatch's "no response yet".
+func (s *Server) carryOn(cs *connState, tr *proto.SpanRec, resp *proto.Msg, misses batchMisses) *proto.Msg {
 	cs.Acquire()
 	go func() {
 		defer cs.Release()
-		cs.Out <- proto.Outgoing{Msg: s.finishTrace(tr, fn()), Pooled: true}
+		cs.Out <- proto.Outgoing{Msg: s.finishTrace(tr, s.mgetFill(resp, misses, tr)), Pooled: true}
 	}()
 	return nil
 }
@@ -1088,9 +1086,8 @@ func (s *Server) dispatch(m *proto.Msg, cs *connState, tr *proto.SpanRec) *proto
 		}
 		s.parkGet(cs, m, tr, found)
 		return nil
-	case proto.MsgPut:
-		s.relayPut(cs, m, tr)
-		return nil
+	case proto.MsgPut, proto.MsgMPut:
+		return s.forward(cs, m, tr)
 	case proto.MsgMGet:
 		s.c.MGetKeys.Add(uint64(len(m.Keys)))
 		s.batchSize.Observe(float64(len(m.Keys)))
@@ -1098,16 +1095,7 @@ func (s *Server) dispatch(m *proto.Msg, cs *connState, tr *proto.SpanRec) *proto
 		if len(misses.keys) == 0 {
 			return resp
 		}
-		return s.carryOn(cs, tr, func() *proto.Msg { return s.mgetFill(resp, misses, tr) })
-	case proto.MsgMPut:
-		s.c.MPutKeys.Add(uint64(len(m.Ops)))
-		s.batchSize.Observe(float64(len(m.Ops)))
-		seq := m.Seq
-		keys, vals, err := mputArgs(m)
-		if err != nil {
-			return &proto.Msg{Type: proto.MsgErr, Seq: seq, Err: err.Error()}
-		}
-		return s.carryOn(cs, tr, func() *proto.Msg { return s.mputResp(seq, keys, vals, tr) })
+		return s.carryOn(cs, tr, resp, misses)
 	case proto.MsgPing:
 		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
 	case proto.MsgStats:

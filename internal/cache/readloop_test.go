@@ -872,3 +872,42 @@ func TestRelayedPutFailsOverToPromotedOwner(t *testing.T) {
 		t.Errorf("the promoted owner was sent %d PUTs, want 1", got)
 	}
 }
+
+// An MPUT carrying anything but updates is refused on the read loop, before
+// anything is counted or sent to a store.
+func TestMPutWithNonUpdateOpRefusedUncounted(t *testing.T) {
+	up := func(k string) proto.BatchOp {
+		return proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Value: []byte("v")}
+	}
+	bad := proto.BatchOp{Kind: proto.BatchInvalidate, Key: "bad"}
+	cases := []struct {
+		name string
+		ops  []proto.BatchOp
+		at   int
+	}{
+		{"the only op", []proto.BatchOp{bad}, 0},
+		{"the first op", []proto.BatchOp{bad, up("a"), up("b")}, 0},
+		{"the last op", []proto.BatchOp{up("a"), up("b"), bad}, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := startStubStore(t, map[string]string{})
+			ca, addr := startOverStub(t, st)
+			c := dialRaw(t, addr)
+			seq := c.send(&proto.Msg{Type: proto.MsgMPut, Ops: tc.ops})
+			want := fmt.Sprintf("cache: MPUT op %d has kind", tc.at)
+			if m := c.recv(); m.Type != proto.MsgErr || m.Seq != seq || !strings.Contains(m.Err, want) {
+				t.Fatalf("answered %v Seq %d %q, want a MsgErr mentioning %q", m.Type, m.Seq, m.Err, want)
+			}
+			c.quiesced()
+			sm := ca.StatsMap()
+			if sm["puts"] != 0 || sm["mput_ops"] != 0 || sm["batch_size_samples"] != 0 {
+				t.Errorf("puts = %d, mput_ops = %d, batch_size_samples = %d; want none of any",
+					sm["puts"], sm["mput_ops"], sm["batch_size_samples"])
+			}
+			if got := st.puts.Load(); got != 0 {
+				t.Errorf("the store was sent %d PUTs, want none", got)
+			}
+		})
+	}
+}

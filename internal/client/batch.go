@@ -75,6 +75,13 @@ func (c *Client) MGetAsync(keys []string, traceID uint64, done Completion) {
 	c.startAsync(req, traceID, done)
 }
 
+// MFillAsync is MGetAsync for the cache-internal batch miss fill (see MFill).
+func (c *Client) MFillAsync(keys []string, traceID uint64, done Completion) {
+	req := newReq(proto.MsgMFill)
+	req.Keys = keys
+	c.startAsync(req, traceID, done)
+}
+
 // mgetResults consumes (and releases) resp, mapping its op list back
 // onto the request's key order.
 func mgetResults(resp *proto.Msg, keys []string) ([]MGetResult, error) {

@@ -10,12 +10,20 @@
 // them, and request timeouts are per-request deadlines swept by a
 // janitor, so one slow request does not poison a shared connection.
 // Blocking calls park only the caller's own goroutine; the asynchronous
-// verbs (GetAsync, MGetAsync, FillAsync, PutAsync, MPutAsync, RestoreAsync)
-// park none — a proxy relays (or, for a scattered batch, gathers; for a miss
-// fill, installs; for a replicated write, counts down) the response from
-// inside the completion. Whatever request bytes an asynchronous verb is
-// handed — a value, keys, ops — are lent until the call returns: the frame
-// is encoded before then, so the caller may pass its own reader's buffer.
+// verbs (GetAsync, MGetAsync, FillAsync, MFillAsync, PutAsync, MPutAsync,
+// RestoreAsync) park none — a proxy relays (or, for a miss fill, installs;
+// for a replicated write, counts down) the response from inside the
+// completion. Whatever request bytes an asynchronous verb is handed — a
+// value, keys, ops — are lent until the call returns: the frame is encoded
+// before then, so the caller may pass its own reader's buffer.
+//
+// Sharded routes over a consistent-hash ring of such clients, and owns the
+// one scatter/gather there is (Scatter, scatter.go): a request split by ring
+// owner, a leg per owner, the answers gathered in request order, a leg whose
+// owner died failed over to wherever a ring refresh moved its keys. Its
+// asynchronous verbs (Sharded.MGetAsync, MPutAsync — a PUT is the MPUT of
+// one op) take a record the caller embeds in its own; its blocking batch
+// verbs are those plus a wait.
 //
 // Every verb, blocking or asynchronous, has one body taking a trace ID,
 // where 0 means untraced: no proto.Trace is allocated or sent and the

@@ -193,8 +193,10 @@ func (s *Sharded) refreshRing() bool {
 	if time.Since(s.lastRefresh) < refreshMinGap {
 		return true // a concurrent failure just refreshed; re-check the view
 	}
-	s.lastRefresh = time.Now()
 	ri, ok := s.refresher()
+	// Stamped once the fetch is over: the failers that queued behind a slow
+	// one piggyback on its result, they do not each repeat it.
+	s.lastRefresh = time.Now()
 	if !ok {
 		return false
 	}
@@ -223,11 +225,12 @@ func (s *Sharded) keyCall(key string, call func(*Client) error) error {
 	return err
 }
 
-// reroute is the failover half of a key-addressed call whose attempt on
-// failed ended in err: if err is a transport failure (the owner may be
-// down), the ring is refreshed, and it returns key's owner when that is no
-// longer failed — the one client worth a retry. It returns nil when the
-// error stands: a retry would reach the same node and the same failure.
+// reroute is the failover rule, stated once — keyCall, FillRetry and a
+// scattered request's failed leg (leg.failover) all retry through it. The
+// attempt on failed ended in err: if err is a transport failure (the owner
+// may be down), the ring is refreshed, and it returns key's owner when that
+// is no longer failed — the one client worth a retry. It returns nil when
+// the error stands: a retry would reach the same node and the same failure.
 func (s *Sharded) reroute(key string, failed *Client, err error) *Client {
 	if !failoverWorthy(err) || !s.refreshRing() {
 		return nil
@@ -269,16 +272,6 @@ func (s *Sharded) Put(key string, value []byte) (version uint64, err error) {
 		return err
 	})
 	return version, err
-}
-
-// PutRetry is FillRetry for a PUT started with For(key).PutAsync; see
-// keyCall for why re-running the write is safe.
-func (s *Sharded) PutRetry(failed *Client, key string, value []byte, traceID uint64, err error) (uint64, *proto.Trace, error) {
-	c := s.reroute(key, failed, err)
-	if c == nil {
-		return 0, nil, err
-	}
-	return c.put(key, value, traceID)
 }
 
 // ReadReport partitions reports by ring owner and ships each slice to

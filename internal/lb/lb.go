@@ -7,22 +7,19 @@
 // It is a message-level proxy built on the same client pools the caches
 // use.
 //
-// Reads — the path the whole design exists for — and single-key writes are
-// proxied by continuation. The connection's read loop picks the cache for
-// a GET, splits an MGET's keys by cache (batch.go), or picks the owning
-// store for a PUT, starts the upstream requests and moves on; each upstream
-// connection's reader then runs the completion (relay.Complete,
-// gatherPart.Complete, putRelay.Complete), and the one that settles the
-// request encodes the downstream response once, into a pooled frame, and
-// queues it to the client connection's writer without blocking
+// Every request is proxied by continuation. The connection's read loop
+// picks the cache for a GET (relay), or hands an MGET, a PUT or an MPUT to
+// the sharded client to split by cache or by owning store (batch.go: the
+// cache tier is a static client.Sharded, the store tier one that follows the
+// coordinator's ring), and moves on; each upstream connection's reader then
+// runs the completion, and the one that settles the request (relay.Complete,
+// scattered.Finish) encodes the downstream response once, into a pooled
+// frame, and queues it to the client connection's writer without blocking
 // (clientConn.answer, over the proto.ReplyQueue the store and cache servers
-// answer through too). No goroutine is spawned and no message changes hands
-// for a GET, an MGET or a PUT. An MPUT blocks on the sharded client's
-// scatter-gather and failover, so it — and only it — gets a dispatcher
-// goroutine; a PUT takes one only when its store's connection broke under
-// it, for the blocking ring refresh and retry (putRelay.failover). Either
-// way responses on one connection may overtake one another; the client
-// matches them by Seq.
+// answer through too). No goroutine is spawned and no message changes hands;
+// only a write whose store's connection broke under it takes one, inside the
+// sharded client, for the blocking ring refresh and retry. Responses on one
+// connection may overtake one another; the client matches them by Seq.
 //
 // Close is graceful: the listener stops accepting, in-flight proxied
 // requests drain (bounded by DrainTimeout), and only then are the
@@ -94,12 +91,10 @@ type Counters struct {
 
 // Server is a live load balancer.
 type Server struct {
-	cfg       Config
-	stores    *client.Sharded
-	cacheRing *ring.Ring
-	caches    []*client.Client
-	gathers   sync.Pool // *gather, see batch.go
-	c         Counters
+	cfg    Config
+	stores *client.Sharded
+	caches *client.Sharded // a static ring: only the store tier reshards
+	c      Counters
 
 	reg *stats.Registry
 	// readRTT and writeRTT sample the upstream round trip of every
@@ -175,15 +170,12 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("lb: %w", err)
 		}
 	}
-	cacheRing, err := ring.New(cfg.CacheAddrs, cfg.VirtualNodes)
+	caches, err := client.NewSharded(cfg.CacheAddrs, cfg.VirtualNodes, client.Options{})
 	if err != nil {
 		stores.Close()
 		return nil, fmt.Errorf("lb: %w", err)
 	}
-	s := &Server{cfg: cfg, stores: stores, cacheRing: cacheRing, drained: make(chan struct{})}
-	for _, addr := range cacheRing.Nodes() {
-		s.caches = append(s.caches, client.New(addr, client.Options{}))
-	}
+	s := &Server{cfg: cfg, stores: stores, caches: caches, drained: make(chan struct{})}
 	s.reg = s.buildRegistry()
 	if cfg.ClusterAddr != "" {
 		// On-demand failover for the write path: a write whose owner
@@ -198,16 +190,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// cacheFor picks the cache by consistent-hash key affinity.
-func (s *Server) cacheFor(key string) *client.Client {
-	return s.caches[s.cacheRing.Owner(key)]
-}
-
 // StoreRing exposes the write-path ring for tests and tooling.
 func (s *Server) StoreRing() *ring.Ring { return s.stores.Ring() }
 
 // CacheRing exposes the read-path ring for tests and tooling.
-func (s *Server) CacheRing() *ring.Ring { return s.cacheRing }
+func (s *Server) CacheRing() *ring.Ring { return s.caches.Ring() }
 
 // ListenAndServe listens on addr and proxies until Close.
 func (s *Server) ListenAndServe(addr string) error {
@@ -300,9 +287,7 @@ func (s *Server) Close() error {
 		cancel() // closes idle client-facing connections
 	}
 	s.stores.Close()
-	for _, c := range s.caches {
-		c.Close()
-	}
+	s.caches.Close()
 	s.wg.Wait()
 	return err
 }
@@ -334,8 +319,8 @@ func (s *Server) endRequests(n int) {
 const maxConnInflight = 256
 
 // clientConn is what one client connection's read loop shares with the
-// dispatcher goroutines and completions answering on it: the queue to its
-// writer, holding one slot per request in flight (maxConnInflight).
+// completions answering on it: the queue to its writer, holding one slot
+// per request in flight (maxConnInflight).
 type clientConn struct {
 	s *Server
 	*proto.ReplyQueue
@@ -345,7 +330,8 @@ type clientConn struct {
 // request acquired on cc, without ever waiting for this client — it runs
 // on the read loop and on upstream connections' readers, which every
 // client connection shares. down may alias buffers that are only valid
-// during the call (a lent upstream response, a gather's scratch): it is
+// during the call (a lent upstream response, a scattered request's
+// scratch): it is
 // encoded here, once, into a pooled frame, and the frame is queued
 // without blocking.
 func (cc *clientConn) answer(tr *proto.SpanRec, down *proto.Msg) {
@@ -386,9 +372,9 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	// this, one proxied upstream round trip would stall every request
 	// queued behind it on the connection.
 	r := proto.NewReader(conn)
-	m := proto.GetMsg()
+	var m proto.Msg
 	for {
-		if err := r.ReadMsgInto(m); err != nil {
+		if err := r.ReadMsgInto(&m); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil {
 				s.c.MalformedFrames.Inc()
 				s.cfg.Logger.Printf("lb: conn %s: %v", conn.RemoteAddr(), err)
@@ -399,61 +385,23 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 			break // draining: reject requests arriving after Close
 		}
 		cc.Acquire()
-		tr := proto.StartSpan(m, "lb")
+		tr := proto.StartSpan(&m, "lb")
+		// Every case runs to completion here and nothing of m outlives it
+		// (keys are interned strings; a write's values are encoded upstream,
+		// and copied for the failover retry, before its case returns), so m
+		// is reused as is.
 		switch m.Type {
-		// Reads, single-key writes and local answers run to completion
-		// here: nothing of m outlives the case (keys are interned strings,
-		// an MGET's are filed into the gather's own scratch, and a PUT's
-		// value is encoded upstream before its case returns), so it is
-		// reused as is.
 		case proto.MsgGet:
-			s.relayGet(cc, m, tr)
-		case proto.MsgMGet:
-			s.scatterMGet(cc, m, tr)
-		case proto.MsgPut:
-			s.relayPut(cc, m, tr)
-		case proto.MsgMPut:
-			// The dispatcher goroutine owns the request Msg from here and
-			// returns it to the pool; the loop reads on into a fresh one.
-			s.dispatchMPut(cc, m, tr)
-			m = proto.GetMsg()
+			s.relayGet(cc, &m, tr)
+		case proto.MsgMGet, proto.MsgPut, proto.MsgMPut:
+			s.scatter(cc, &m, tr)
 		default:
-			cc.answer(tr, s.localResp(m))
+			cc.answer(tr, s.localResp(&m))
 		}
 	}
-	proto.PutMsg(m)
 	cc.Close()
 	<-writerDone
 	conn.Close()
-}
-
-// dispatchMPut hands an MPUT to a dispatcher goroutine of its own: the
-// sharded store client blocks through scatter-gather and failover.
-func (s *Server) dispatchMPut(cc *clientConn, m *proto.Msg, tr *proto.SpanRec) {
-	// Each op's value aliases the reader's buffer, which the next ReadMsg
-	// overwrites while the dispatcher still runs: one backing buffer copies
-	// them all. (Keys are interned strings — immutable, safe to hold.)
-	total := 0
-	for i := range m.Ops {
-		total += len(m.Ops[i].Value)
-	}
-	buf := make([]byte, 0, total)
-	for i := range m.Ops {
-		if m.Ops[i].Value == nil {
-			continue
-		}
-		start := len(buf)
-		buf = append(buf, m.Ops[i].Value...)
-		m.Ops[i].Value = buf[start:len(buf):len(buf)]
-	}
-	go func() {
-		defer cc.Release()
-		resp := s.routeMPut(m, tr)
-		resp.Seq = m.Seq
-		proto.PutMsg(m)
-		// inflight is released by the writer post-flush.
-		cc.Out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
-	}()
 }
 
 // relay is one GET in flight to a cache: the completion that turns the
@@ -475,7 +423,7 @@ func (s *Server) relayGet(cc *clientConn, m *proto.Msg, tr *proto.SpanRec) {
 	s.c.Reads.Inc()
 	g := relayPool.Get().(*relay)
 	*g = relay{cc: cc, seq: m.Seq, key: m.Key, tr: tr, start: time.Now()}
-	s.cacheFor(m.Key).GetAsync(m.Key, tr.ID(), g)
+	s.caches.For(m.Key).GetAsync(m.Key, tr.ID(), g)
 }
 
 // Complete relays the cache's answer to the client connection, straight
@@ -512,80 +460,6 @@ func (s *Server) finishTrace(tr *proto.SpanRec, resp *proto.Msg) *proto.Msg {
 	return resp
 }
 
-// putRelay is one PUT in flight to its owning store: relay's counterpart
-// for the write path, pooled the same way. value is a scratch copy of the
-// request's value — the upstream frame is encoded from the reader's buffer
-// before relayPut returns, so the copy is never sent unless the store's
-// connection breaks under the PUT and it must be retried against a promoted
-// owner (failover), long after the reader's buffer moved on.
-type putRelay struct {
-	cc    *clientConn
-	seq   uint64 // the client's sequence number, re-stamped on the answer
-	key   string
-	tr    *proto.SpanRec
-	start time.Time
-	owner *client.Client // the store the PUT was started on
-	value []byte
-}
-
-var putRelayPool = sync.Pool{New: func() any { return new(putRelay) }}
-
-// maxPooledPutValue keeps a one-off giant PUT from pinning its scratch
-// copy in the pool (the client's maxPooledFrameBuf, for the same reason).
-const maxPooledPutValue = 1 << 20
-
-// relayPut routes a PUT to its owning store and starts it upstream; the
-// answer is relayed by (*putRelay).Complete.
-func (s *Server) relayPut(cc *clientConn, m *proto.Msg, tr *proto.SpanRec) {
-	s.c.Writes.Inc()
-	p := putRelayPool.Get().(*putRelay)
-	p.cc, p.seq, p.key, p.tr, p.start = cc, m.Seq, m.Key, tr, time.Now()
-	p.value = append(p.value[:0], m.Value...)
-	// The owner is on record before the PUT starts: Complete may run, on
-	// the store connection's reader, before PutAsync returns.
-	p.owner = s.stores.For(m.Key)
-	p.owner.PutAsync(m.Key, m.Value, tr.ID(), p)
-}
-
-// Complete relays the store's answer to the client connection. It runs on
-// the store connection's reader and must not block: a transport failure,
-// which may mean the owner is down, sends this PUT alone to a goroutine for
-// the blocking ring refresh and retry.
-func (p *putRelay) Complete(resp *proto.Msg, err error) {
-	var version uint64
-	switch {
-	case err == nil:
-		p.tr.Add(resp.Trace)
-		version, err = client.DecodePut(resp, p.key)
-	case !errors.Is(err, client.ErrClosed):
-		go p.failover(err)
-		return
-	}
-	p.answer(version, err)
-}
-
-func (p *putRelay) failover(err error) {
-	version, st, err := p.cc.s.stores.PutRetry(p.owner, p.key, p.value, p.tr.ID(), err)
-	p.tr.Add(st)
-	p.answer(version, err)
-}
-
-// answer sends the PUT's outcome to the client and recycles the relay.
-func (p *putRelay) answer(version uint64, err error) {
-	cc, s := p.cc, p.cc.s
-	s.writeRTT.Observe(float64(time.Since(p.start)))
-	down := proto.Msg{Type: proto.MsgPutResp, Seq: p.seq, Status: proto.StatusOK, Version: version}
-	if err != nil {
-		s.c.Errors.Inc()
-		down = proto.Msg{Type: proto.MsgErr, Seq: p.seq, Err: err.Error()}
-	}
-	cc.answer(p.tr, &down)
-	*p = putRelay{value: p.value[:0]}
-	if cap(p.value) <= maxPooledPutValue {
-		putRelayPool.Put(p)
-	}
-}
-
 // localResp answers what the balancer proxies nowhere.
 func (s *Server) localResp(m *proto.Msg) *proto.Msg {
 	switch m.Type {
@@ -617,7 +491,7 @@ func (s *Server) buildRegistry() *stats.Registry {
 		r.Gauge("freshcache_lb_"+name, help, key, fn)
 	}
 	gauge("caches", "Cache nodes on the read-path ring.", "caches", func() float64 {
-		return float64(len(s.caches))
+		return float64(s.caches.Len())
 	})
 	gauge("stores", "Store shards on the write-path ring.", "stores", func() float64 {
 		return float64(s.stores.Len())

@@ -323,9 +323,9 @@ func startLBOver(t *testing.T, upstreamTimeout time.Duration, fakes ...*fakeCach
 		t.Fatal(err)
 	}
 	if upstreamTimeout > 0 {
-		for i, addr := range addrs {
-			b.caches[i].Close()
-			b.caches[i] = client.New(addr, client.Options{RequestTimeout: upstreamTimeout})
+		b.caches.Close()
+		if b.caches, err = client.NewSharded(addrs, 0, client.Options{RequestTimeout: upstreamTimeout}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	bln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -309,3 +309,44 @@ func TestStalledClientDoesNotStallWrites(t *testing.T) {
 		}
 	}
 }
+
+// An MPUT carrying anything but updates is refused on the read loop, before
+// anything is counted as a write, copied or sent to a store — and it is
+// counted as an error.
+func TestMPutWithNonUpdateOpRefusedUncounted(t *testing.T) {
+	up := func(k string) proto.BatchOp {
+		return proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Value: []byte("v")}
+	}
+	bad := proto.BatchOp{Kind: proto.BatchInvalidate, Key: "bad"}
+	cases := []struct {
+		name string
+		ops  []proto.BatchOp
+		at   int
+	}{
+		{"the only op", []proto.BatchOp{bad}, 0},
+		{"the first op", []proto.BatchOp{bad, up("a"), up("b")}, 0},
+		{"the last op", []proto.BatchOp{up("a"), up("b"), bad}, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := startFakeCache(t)
+			close(st.release)
+			b, lbAddr := startLBOverStore(t, 0, st)
+			rc := dialRaw(t, lbAddr)
+			rc.send(&proto.Msg{Type: proto.MsgMPut, Seq: 3, Ops: tc.ops})
+			want := fmt.Sprintf("lb: MPUT op %d has kind", tc.at)
+			if m := rc.read(5 * time.Second); m == nil || m.Type != proto.MsgErr || m.Seq != 3 || !strings.Contains(m.Err, want) {
+				t.Fatalf("answered %+v, want a MsgErr mentioning %q", m, want)
+			}
+			rc.quiesced()
+			sm := b.StatsMap()
+			if sm["writes"] != 0 || sm["mput_ops"] != 0 || sm["batch_size_samples"] != 0 || sm["errors"] != 1 {
+				t.Errorf("writes = %d, mput_ops = %d, batch_size_samples = %d, errors = %d; want 0, 0, 0 and 1",
+					sm["writes"], sm["mput_ops"], sm["batch_size_samples"], sm["errors"])
+			}
+			if got := st.parked.Load(); got != 0 {
+				t.Errorf("the store was sent %d requests, want none", got)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -153,5 +154,37 @@ func TestReadMsgIntoReusesKeys(t *testing.T) {
 	}
 	if cap(m.Keys) != firstCap {
 		t.Errorf("second decode reallocated Keys: cap %d -> %d", firstCap, cap(m.Keys))
+	}
+}
+
+// A steady stream of batches near the boundary between the two shared-frame
+// size classes is encoded into the same pooled buffer every time. Both
+// sizes used to change pools on every use — 16 × 4091 bytes is under
+// smallFrame by its keys and values and over it with its op headers, and a
+// buffer grown by append to hold 16 × 3800 bytes may end with a capacity
+// past it — and the next batch regrew its frame from nothing.
+func TestEncodeSharedSteadyBatchKeepsItsFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop objects")
+	}
+	for _, valueLen := range []int{3800, 4091} {
+		ops := make([]BatchOp, 16)
+		for i := range ops {
+			ops[i] = BatchOp{Kind: BatchUpdate, Key: fmt.Sprintf("k-%02d", i), Version: 7, Value: make([]byte, valueLen)}
+		}
+		m := &Msg{Type: MsgMGetResp, Seq: 1, Ops: ops}
+		encode := func() {
+			f, err := EncodeShared(m, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Release()
+		}
+		for i := 0; i < 10; i++ { // warm-up: the buffer grows once
+			encode()
+		}
+		if allocs := testing.AllocsPerRun(200, encode); allocs != 0 {
+			t.Errorf("16 × %d-byte batch: %.0f allocations per encode after warm-up, want 0", valueLen, allocs)
+		}
 	}
 }

@@ -363,18 +363,33 @@ func framePool(size int) *sync.Pool {
 	return &framePools[1]
 }
 
+// What a frame holds beyond its keys and values: opHeader per update op
+// (kind, key length, version, value length), frameHeader for everything in
+// front of the payload's variable part (a trace block, rare, is not counted:
+// the buffer grows once to fit it).
+const (
+	opHeader    = 1 + 2 + 8 + 4
+	frameHeader = 64
+)
+
 // EncodeShared encodes m once into a pooled frame carrying refs
 // references.
 func EncodeShared(m *Msg, refs int) (*SharedFrame, error) {
-	// The keys and values m carries decide its class; headers cannot tip
-	// it.
-	size := len(m.Value)
+	// The class comes from an upper estimate of a value's or a batch's
+	// frame, op headers included — across a few thousand small ops they
+	// outweigh the payload. A small frame's buffer is made that size at once:
+	// grown by append it could end past smallFrame, be re-filed in the other
+	// class on Release, and the next batch regrow its frame from nothing.
+	size := frameHeader + len(m.Value)
 	for i := 0; i < len(m.Ops) && size <= smallFrame; i++ {
-		size += len(m.Ops[i].Key) + len(m.Ops[i].Value)
+		size += opHeader + len(m.Ops[i].Key) + len(m.Ops[i].Value)
 	}
 	f, _ := framePool(size).Get().(*SharedFrame)
 	if f == nil {
 		f = new(SharedFrame)
+	}
+	if size <= smallFrame && cap(f.b) < size {
+		f.b = make([]byte, 0, size)
 	}
 	b, err := AppendFrame(f.b[:0], m)
 	f.b = b

@@ -492,3 +492,50 @@ func TestWriteAllocationPin(t *testing.T) {
 		t.Errorf("a replicated PUT through the LB allocates %.0f objects, budget is 4", allocs)
 	}
 }
+
+// TestBatchWriteAllocationPin holds the batched write path to its budget: a
+// 16-op MPUT of 128-byte values through client → LB → 2 stores (R = 2, so
+// each store takes its own ops as primary and the other's as replica) and
+// back. Measured: 90 to 93 while the LB copied the batch's values and handed
+// it to a dispatcher goroutine whose sharded client fanned out on two more
+// (the value copy, three closures and goroutines, the partition's six
+// appended slices, two argument slices, a request op list and an owned copy
+// of the answer per shard, the result slices), 45 now that the LB scatters
+// it from its read loop through the sharded client's pooled record and
+// gathers it from the store connections' readers — what is left is the
+// stores' (32 of the 45 are the resident copies of the values: sixteen ops,
+// two stores each) and the blocking client's own. The pin is 45 + 2.
+func TestBatchWriteAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own and makes sync.Pool drop objects")
+	}
+	cl := startFailoverCluster(t, time.Hour, 4*time.Second, 2, 2, 1)
+	c := freshcache.NewClient(cl.lbAddr, freshcache.ClientOptions{})
+	t.Cleanup(func() { c.Close() })
+	keys := make([]string, 16)
+	vals := make([][]byte, 16)
+	for i := range keys {
+		keys[i], vals[i] = fmt.Sprintf("batched-%d", i), make([]byte, 128)
+	}
+	mput := func() {
+		res, err := c.MPut(keys, vals)
+		if err != nil || len(res) != 16 || res[15].Err != nil {
+			t.Fatalf("MPut = %d results, %v", len(res), err)
+		}
+	}
+	for i := 0; i < 200; i++ { // connections up, pools, scratch and intern tables warm
+		mput()
+	}
+	before := [2]map[string]uint64{cl.stores[0].Metrics().StatsMap(), cl.stores[1].Metrics().StatsMap()}
+	allocs := testing.AllocsPerRun(2000, mput)
+	for i, st := range cl.stores {
+		after := st.Metrics().StatsMap()
+		if after["mput_ops"] == before[i]["mput_ops"] || after["rep_writes_in"] == before[i]["rep_writes_in"] {
+			t.Fatalf("store %d took batched ops %d → %d, replica pushes %d → %d: the pin must cover a two-way scatter, each store primary and replica",
+				i, before[i]["mput_ops"], after["mput_ops"], before[i]["rep_writes_in"], after["rep_writes_in"])
+		}
+	}
+	if allocs > 47 {
+		t.Errorf("a 16-op MPUT through the LB allocates %.0f objects, budget is 47", allocs)
+	}
+}

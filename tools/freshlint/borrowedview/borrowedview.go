@@ -17,12 +17,13 @@
 // results are lent on the same terms.
 //
 // And it covers the request a connection's read loop hands a function that
-// starts an asynchronous client verb (Client.PutAsync, MPutAsync,
-// RestoreAsync, ...): the verb encodes the request bytes it is given before
-// it returns precisely so that they may be the reader's own — which makes
-// the function's *proto.Msg parameter, its slices, and the locals cut from
-// them, lent until the function returns. The record that outlives the call
-// (a pooled relay, a countdown of legs) keeps a copy or nothing.
+// starts an asynchronous client verb (Client.MPutAsync, RestoreAsync, ...,
+// or a scattered one: Sharded.MGetAsync, MPutAsync): the verb encodes the
+// request bytes it is given before it returns precisely so that they may be
+// the reader's own — which makes the function's *proto.Msg parameter, its
+// slices, and the locals cut from them, lent until the function returns.
+// The record that outlives the call (a pooled scattered request, a countdown
+// of legs) keeps a copy or nothing.
 package borrowedview
 
 import (
@@ -59,8 +60,8 @@ with every slice reachable through it (resp.Value, resp.Ops,
 resp.Ops[i].Value, ...): it may be read and passed down, but not
 retained, written through, or handed to proto.PutMsg.
 
-In a function that calls an asynchronous verb of client.Client (a method
-whose name ends in Async), a *proto.Msg parameter is the request the
+In a function that calls an asynchronous verb of client.Client or
+client.Sharded (a method whose name ends in Async), a *proto.Msg parameter is the request the
 connection's reader lent it. Its slices, and local variables assigned
 from them, may be read, passed down and written into the reader's own Msg,
 but not stored in struct fields, package-level variables, map or slice
@@ -88,7 +89,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 //	ops, err := client.DecodeMGet(resp, keys)      // ops borrowed (resp.Ops); DecodeMPut too
 //	value, ver, err := client.DecodeGet(resp, key) // value borrowed (resp.Value)
 //	func (c *T) Complete(resp *proto.Msg, err error) // resp lent
-//	func relay(m *proto.Msg) { owner.PutAsync(m.Key, m.Value, 0, p) } // m lent
+//	func relay(m *proto.Msg) { stores.MPutAsync(m.Ops, 0, q) }   // m lent
 //	ops := m.Ops                                   // ops as lent as m
 func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 	borrowed := make(map[*types.Var]string)
@@ -190,7 +191,8 @@ const (
 )
 
 // asyncRequests returns fd's *proto.Msg parameters if its body starts an
-// asynchronous client verb: they are the requests being relayed.
+// asynchronous verb of a client or of a sharded client: they are the
+// requests being relayed.
 func asyncRequests(pass *analysis.Pass, fd *ast.FuncDecl) []*ast.Ident {
 	if fd.Body == nil {
 		return nil
@@ -199,7 +201,8 @@ func asyncRequests(pass *analysis.Pass, fd *ast.FuncDecl) []*ast.Ident {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok && !starts {
 			fn := lintutil.Callee(pass.TypesInfo, call)
-			starts = fn != nil && strings.HasSuffix(fn.Name(), "Async") && lintutil.IsMethod(fn, clientPkg, "Client", fn.Name())
+			starts = fn != nil && strings.HasSuffix(fn.Name(), "Async") &&
+				(lintutil.IsMethod(fn, clientPkg, "Client", fn.Name()) || lintutil.IsMethod(fn, clientPkg, "Sharded", fn.Name()))
 		}
 		return !starts
 	})

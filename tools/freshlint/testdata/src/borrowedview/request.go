@@ -10,34 +10,47 @@ import (
 // encodes the request bytes before then, so they may be the reader's own.
 // The record that outlives the call keeps a copy, or nothing.
 
-// leakyPutRelay relays a PUT the wrong way: the value it keeps for a retry
-// is still the reader's buffer, which the next frame overwrites.
-type leakyPutRelay struct {
+// leakyScattered relays a write the wrong way: the value and the ops it
+// keeps to shape its answer are still the reader's buffers, which the next
+// frame overwrites.
+type leakyScattered struct {
+	client.Scatter
 	key   string
 	value []byte
+	ops   []proto.BatchOp
 }
 
-func (p *leakyPutRelay) Complete(resp *proto.Msg, err error) {}
+func (q *leakyScattered) Finish() {}
 
-func (p *leakyPutRelay) relay(m *proto.Msg, owner *client.Client) {
-	p.key = m.Key     // key strings are interned: immutable, safe to hold
-	p.value = m.Value // want "reader's lent request buffer m.Value stored in a struct field"
-	owner.PutAsync(m.Key, m.Value, 0, p)
+func (q *leakyScattered) start(m *proto.Msg, stores *client.Sharded) {
+	q.key = m.Key     // key strings are interned: immutable, safe to hold
+	q.value = m.Value // want "reader's lent request buffer m.Value stored in a struct field"
+	q.ops = m.Ops     // want "reader's lent request buffer m.Ops stored in a struct field"
+	stores.MPutAsync(m.Ops, 0, q)
 }
 
-// putRelay is the blessed shape: the retry's copy goes into the relay's own
-// scratch, and the frame is encoded from the reader's buffer.
-type putRelay struct {
-	key   string
-	value []byte
+// scattered is the blessed shape: the record keeps whom to answer and
+// nothing of the request — the sharded client copies what a failover retry
+// needs into the embedded Scatter before the verb returns — and a PUT's one
+// op is built on the stack.
+type scattered struct {
+	client.Scatter
+	seq uint64
 }
 
-func (p *putRelay) Complete(resp *proto.Msg, err error) {}
+func (q *scattered) Finish() {}
 
-func (p *putRelay) relay(m *proto.Msg, owner *client.Client) {
-	p.key = m.Key
-	p.value = append(p.value[:0], m.Value...)
-	owner.PutAsync(m.Key, m.Value, 0, p)
+func (q *scattered) start(m *proto.Msg, caches, stores *client.Sharded) {
+	q.seq = m.Seq
+	switch {
+	case len(m.Keys) > 0:
+		caches.MGetAsync(m.Keys, 0, q)
+	case len(m.Ops) > 0:
+		stores.MPutAsync(m.Ops, 0, q)
+	default:
+		one := [1]proto.BatchOp{{Key: m.Key, Value: m.Value}}
+		stores.MPutAsync(one[:], 0, q)
+	}
 }
 
 // leakyLeg replicates a batch the wrong way: the countdown record its
