@@ -164,8 +164,9 @@ type Decider = core.Decider
 type EngineConfig = core.Config
 
 // Engine is the store-side policy engine: it observes reads and writes,
-// buffers dirty keys, and emits batched decisions — every write within the
-// staleness bound, no key twice within it.
+// reports the writes that are due at once, buffers the rest, and emits
+// batched decisions — every write within the staleness bound, no key twice
+// within 15/16 of it.
 type Engine = core.Engine
 
 // NewEngine builds a policy engine.

@@ -23,13 +23,20 @@
 //     pushes to its caches (Figure 4).
 //
 // The engine flushes on the leading edge, with a cooldown. The caller
-// divides the staleness bound T into Slices slices and calls FlushSlice at
-// each boundary. A dirty key not pushed during the last Slices slices goes
-// out at once; one that was — or that nobody has read yet, so no cache can
-// hold it — is held until that cooldown ends and then goes out once, with
-// whatever was written meanwhile. So every write is pushed within T of
-// being observed, no key more than once per T, and a key that is read, and
-// written less than once per T, within T/Slices.
+// divides the staleness bound T into Slices slices. A write that makes a
+// key due now — newly dirty, read before, not pushed during the last Slices
+// slices — says so (ObserveWritesAt), and the caller calls FlushSlice at
+// once, mid-slice: the key goes out and starts cooling. A write to a
+// cooling key, or to one nobody has read yet (no cache can hold it, and a
+// bulk load should not jump the queue), is held until the boundary Slices
+// slices after that push — for the unread key, after the last flush — and
+// goes out there once, with whatever was written meanwhile. The caller owes
+// the engine a FlushSlice whenever a write asks for one, and at every
+// boundary while Pending. Then every write is pushed at most T after it was
+// observed, strictly; a cooldown starts mid-slice and ends at a boundary,
+// so a key is pushed at most once per 15/16·T — not once per T; and a write
+// to a key that is read, and written less than once per T, is pushed as
+// soon as the caller gets to it.
 package core
 
 import (
@@ -144,15 +151,16 @@ type Config struct {
 }
 
 // Engine is the store-side (or proxy-side) policy engine of Figure 4:
-// it observes the request stream, buffers written keys, and at each
-// slice boundary emits one batched decision per dirty key that is due.
-// Engine is safe for concurrent use.
+// it observes the request stream, buffers written keys, and at each flush
+// emits one batched decision per dirty key that is due. Engine is safe for
+// concurrent use.
 type Engine struct {
 	mu      sync.Mutex
 	decider Decider
 	// keys holds every key that is dirty, cooling, or both. A dirty key
 	// that is not cooling is also in ready; a cooling key is also in the
-	// wheel bucket of the slice it was pushed in, for Slices slices.
+	// wheel bucket of the slice it was pushed in (or, never read, of the
+	// last slice flushed before its write), for Slices slices.
 	keys  map[string]keyState
 	ready []string
 	wheel [Slices][]string
@@ -201,16 +209,28 @@ func (e *Engine) ObserveRead(key string) {
 	e.mu.Unlock()
 }
 
-// ObserveReadN records n reads of key in one tracker operation — the
-// read-report ingestion path, where a cache ships per-key counts of up
-// to 2^16 reads at a time and a per-read loop would hold the engine
-// lock for the whole count.
+// ObserveReadN records n reads of key in one tracker operation: the
+// one-element case of ObserveReads.
 func (e *Engine) ObserveReadN(key string, n uint32) {
-	if n == 0 {
-		return
-	}
+	e.ObserveReads([]ReadCount{{key, n}})
+}
+
+// ReadCount is one key's reads since they were last reported.
+type ReadCount struct {
+	Key string
+	N   uint32
+}
+
+// ObserveReads records a cache's read report — per-key counts of up to
+// 2^16 reads, thousands of keys at a time — under one acquisition of the
+// engine lock and in one tracker operation per key.
+func (e *Engine) ObserveReads(reads []ReadCount) {
 	e.mu.Lock()
-	e.decider.ObserveReadN(sketch.Hash(key), uint64(n))
+	for _, r := range reads {
+		if r.N != 0 {
+			e.decider.ObserveReadN(sketch.Hash(r.Key), uint64(r.N))
+		}
+	}
 	e.mu.Unlock()
 }
 
@@ -225,21 +245,45 @@ const clean = math.MinInt64
 // ObserveWrite records a write of key and marks it dirty.
 func (e *Engine) ObserveWrite(key string) { e.ObserveWriteAt(key, 0) }
 
-// ObserveWriteAt is ObserveWrite with a stamp, a reading of any clock the
-// caller likes: the Decision that covers this write carries the stamp of
-// the oldest write it covers.
-func (e *Engine) ObserveWriteAt(key string, at int64) {
+// ObserveWriteAt is ObserveWrite with a stamp: the one-element case of
+// ObserveWritesAt.
+func (e *Engine) ObserveWriteAt(key string, at int64) (flush bool) {
+	return e.ObserveWritesAt([]string{key}, at)
+}
+
+// ObserveWritesAt records one request's writes under one acquisition of the
+// engine lock. at is a reading of any clock the caller likes: the Decision
+// that covers a write carries the stamp of the oldest write it covers. It
+// reports whether the caller should call FlushSlice now, without waiting
+// for a boundary: a write made its key due now — newly dirty, read before,
+// not cooling — or the engine held no key, and the caller may be watching no
+// boundary at all (a bulk load into an idle engine would otherwise pile up
+// behind the one stale flush and leave as one frame).
+func (e *Engine) ObserveWritesAt(keys []string, at int64) (flush bool) {
 	e.mu.Lock()
-	e.decider.ObserveWrite(sketch.Hash(key))
-	switch st, known := e.keys[key]; {
-	case !known:
-		e.keys[key] = keyState{since: at}
-		e.ready = append(e.ready, key)
-	case st.since == clean: // cooling: held until the cooldown ends
-		e.keys[key] = keyState{since: at, cooling: true}
-		e.held++
+	defer e.mu.Unlock()
+	flush = len(e.keys) == 0 && len(keys) > 0
+	for _, key := range keys {
+		h := sketch.Hash(key)
+		e.decider.ObserveWrite(h)
+		switch st, known := e.keys[key]; {
+		case !known && e.decider.Tracker.Reads(h) > 0:
+			e.keys[key] = keyState{since: at}
+			e.ready = append(e.ready, key)
+			flush = true
+		case !known:
+			// Nobody has read it, so no cache holds a copy to refresh early
+			// (a bulk load, say): hold it as if it had been pushed at the
+			// last flush, which was before its write.
+			e.keys[key] = keyState{since: at, cooling: true}
+			e.held++
+			e.wheel[e.slice%Slices] = append(e.wheel[e.slice%Slices], key)
+		case st.since == clean: // cooling: held until the cooldown ends
+			e.keys[key] = keyState{since: at, cooling: true}
+			e.held++
+		}
 	}
-	e.mu.Unlock()
+	return flush
 }
 
 // KeyFreq returns the tracker's (possibly approximate) read and write
@@ -284,24 +328,34 @@ func (e *Engine) NoteFilled(key string) {
 }
 
 // DirtyCount returns the number of keys with a write no flush has covered
-// yet, whether they are due at the next slice or held by a cooldown.
+// yet, whether they are due now or held by a cooldown.
 func (e *Engine) DirtyCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.ready) + e.held
 }
 
-// FlushSlice flushes slice boundary n: it appends to out one decision per
-// dirty key that has been read and was not pushed during the last Slices
-// slices — cooldowns ending at n, or at a number the caller skipped,
-// included — and returns it. A decision that sends a message starts its
-// key's cooldown; ActionNone sends nothing and starts none. Keys decided as
-// invalidate are remembered so later writes do not re-invalidate them until
-// the cache refills (NoteFilled).
+// Pending reports whether the engine holds any key, dirty or cooling: while
+// it does the caller owes it a FlushSlice at the next boundary, where a write
+// to a cooling key — never reported due — is released.
+func (e *Engine) Pending() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.keys) > 0
+}
+
+// FlushSlice flushes in slice n, at its boundary or anywhere inside it: it
+// appends to out one decision per dirty key that is due — written with a
+// reader and no cooldown since the last flush, or held until a cooldown that
+// ends at n, or at a number the caller skipped — and returns it. n may
+// repeat and may skip. A decision that sends a message starts its key's
+// cooldown, which ends at boundary n+Slices; ActionNone sends nothing and
+// starts none. Keys decided as invalidate are remembered so later writes do
+// not re-invalidate them until the cache refills (NoteFilled).
 func (e *Engine) FlushSlice(n uint64, out []Decision) []Decision {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.flushLocked(n+e.skew, out, false)
+	return e.flushLocked(n+e.skew, out)
 }
 
 // Flush drains everything dirty at once, as if a whole T had just passed
@@ -311,12 +365,12 @@ func (e *Engine) Flush() []Decision {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.skew += Slices
-	out := e.flushLocked(e.slice+Slices, nil, true)
+	out := e.flushLocked(e.slice+Slices, nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
-func (e *Engine) flushLocked(n uint64, out []Decision, everything bool) []Decision {
+func (e *Engine) flushLocked(n uint64, out []Decision) []Decision {
 	e.flushes++
 	prev := e.slice
 	e.slice = max(n, prev)
@@ -330,26 +384,16 @@ func (e *Engine) flushLocked(n uint64, out []Decision, everything bool) []Decisi
 		due := e.wheel[m%Slices]
 		e.wheel[m%Slices] = due[:0]
 		for _, key := range due {
-			since := e.keys[key].since
-			delete(e.keys, key)
-			if since != clean {
+			if since := e.keys[key].since; since != clean {
 				e.held--
-				out = e.pushLocked(out, key, since, true)
+				out = e.pushLocked(out, key, since, true) // overwrites the key's state, or deletes it
+			} else {
+				delete(e.keys, key)
 			}
 		}
 	}
 	for _, key := range e.ready {
-		since := e.keys[key].since
-		if !everything && prev+Slices > e.slice && e.decider.Tracker.Reads(sketch.Hash(key)) == 0 {
-			// Nobody has read it, so no cache holds a copy to refresh
-			// early (a bulk load, say): hold it as if it had been pushed
-			// at the last flush, which was before its write.
-			e.keys[key] = keyState{since: since, cooling: true}
-			e.held++
-			e.wheel[prev%Slices] = append(e.wheel[prev%Slices], key)
-			continue
-		}
-		out = e.pushLocked(out, key, since, false)
+		out = e.pushLocked(out, key, e.keys[key].since, false)
 	}
 	e.ready = e.ready[:0]
 	return out

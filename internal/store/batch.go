@@ -279,13 +279,16 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, tr *proto.SpanRec) 
 	w := pendingWritePool.Get().(*pendingWrite)
 	var repBuf [4]string // keeps each key's replica set off the heap
 	local, now := sc.local[:0], time.Now()
+	var oneKey [1]string
+	keys, forwarded := oneKey[:0], false // the keys applied here; whether any was not
 	s.clMu.RLock()
 	for i := range ops {
 		target, dirty := s.placeLocked(ops[i].Key)
 		if target != "" {
-			// The local engine never sees a forwarded write: the next flush
+			// The local engine never sees a forwarded write: the flusher
 			// owes old-epoch subscribers an invalidate for its key.
 			s.fwdDirty.add(ops[i].Key)
+			forwarded = true
 			w.addLeg(target, true, ops[i].Key, i)
 			continue
 		}
@@ -294,8 +297,10 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, tr *proto.SpanRec) 
 	if len(local) == 1 {
 		o := &ops[local[0].i]
 		o.Version = s.auth.Put(o.Key, o.Value, now)
+		keys = append(keys, o.Key)
 	} else if len(local) > 1 {
-		keys, vals, versions := make([]string, 0, len(local)), make([][]byte, 0, len(local)), make([]uint64, len(local))
+		vals, versions := make([][]byte, 0, len(local)), make([]uint64, len(local))
+		keys = make([]string, 0, len(local))
 		for _, lw := range local {
 			keys, vals = append(keys, ops[lw.i].Key), append(vals, ops[lw.i].Value)
 		}
@@ -315,9 +320,10 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, tr *proto.SpanRec) 
 	}
 	s.clMu.RUnlock()
 
-	at := now.UnixNano()
-	for _, lw := range local {
-		s.engine.ObserveWriteAt(ops[lw.i].Key, at)
+	// One engine lock and at most one kick per request: what the engine
+	// wants flushed now — and a forwarded key's invalidate — goes out at once.
+	if (len(keys) > 0 && s.engine.ObserveWritesAt(keys, now.UnixNano())) || forwarded {
+		s.kickFlusher()
 	}
 	sc.local = local[:0]
 	w.ops = w.ops[:0]

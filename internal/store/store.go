@@ -4,6 +4,10 @@
 // the staleness bound T of each write, pushes it in a batched frame of
 // invalidates and updates to every subscribed cache (see flusher).
 //
+// The flusher is woken by writes, not by a ticker: a write the engine reports
+// due is on the wire at once, and what it holds back goes out at the slice
+// boundary its cooldown ends at.
+//
 // Delivery is epoch-numbered: every frame increments the epoch, and an
 // empty one is pushed as a heartbeat when T passes without any, so a cache
 // that misses a frame detects the gap from the next frame's epoch (or the
@@ -39,13 +43,16 @@ type Config struct {
 	// (and must resynchronize that shard). Defaults to "store".
 	ShardID string
 	// T is the staleness bound: the longest the freshness flusher holds
-	// a write back. Defaults to 1s.
+	// a write back — a re-write inside its key's cooldown, a key nobody has
+	// read; any other write it pushes at once. Defaults to 1s.
 	T time.Duration
 	// Engine configures the adaptive policy engine (costs, tracker,
 	// SLO). The zero value uses the engine defaults.
 	Engine core.Config
 	// SubscriberQueue bounds the per-subscriber push queue; defaults
-	// to 64 frames.
+	// to 64 frames. While any subscriber's is over half full the flusher
+	// sends frames at slice boundaries only, 16 per T: the other half is
+	// 2·T of stall tolerance at any write rate.
 	SubscriberQueue int
 	// MaxReportCount caps one key's count in a read report (defense
 	// against a misbehaving cache flooding the tracker); defaults 65536.
@@ -148,9 +155,10 @@ type Server struct {
 	// operations (MGET/MFILL/MPUT) — the amortization factor of the
 	// batched hot path made visible.
 	batchSize stats.Histogram
-	// flushDwell is how long a pushed key's oldest unpushed write waited
-	// for its flush (nanoseconds): the store's share of write-to-visible.
-	flushDwell stats.Histogram
+	// dwellLeading and dwellCooldown are how long a pushed key's oldest
+	// unpushed write waited for its flush (nanoseconds) — the store's share
+	// of write-to-visible — for keys pushed at once and for keys held first.
+	dwellLeading, dwellCooldown stats.Histogram
 
 	// flushMu serializes flushes — frames reach every subscriber in epoch
 	// order — and guards their scratch and the heartbeat's slice.
@@ -159,6 +167,8 @@ type Server struct {
 	ops       []proto.BatchOp
 	pushSubs  []*subscriber
 	lastBatch uint64
+	// kick wakes the flusher: one slot, see kickFlusher.
+	kick chan struct{}
 
 	mu    sync.Mutex
 	subs  map[*subscriber]struct{}
@@ -258,6 +268,7 @@ func New(cfg Config) *Server {
 		pendingFreqs: make(map[string]proto.KeyFreq),
 		repSyncing:   make(map[string]uint64),
 		closed:       make(chan struct{}),
+		kick:         make(chan struct{}, 1),
 	}
 	s.reg = s.buildRegistry()
 	return s
@@ -317,7 +328,7 @@ func (s *Server) buildRegistry() *stats.Registry {
 	r.LabeledCounter("freshcache_store_push_decisions_total",
 		"Freshness push decisions by action.",
 		[]string{"action"}, []string{"update"}, "updates_sent", &s.c.UpdatesSent)
-	counter("pushes_leading_total", "Keys pushed at the first slice after their write.", "pushes_leading", &s.c.PushesLeading)
+	counter("pushes_leading_total", "Keys pushed as soon as written: read before, and not pushed within the last T.", "pushes_leading", &s.c.PushesLeading)
 	counter("pushes_cooldown_total", "Keys pushed after being held: for their cooldown, or for want of a reader.", "pushes_cooldown", &s.c.PushesCooldown)
 
 	gauge("subscribers", "Currently subscribed caches.", "subscribers", func() float64 {
@@ -354,7 +365,7 @@ func (s *Server) buildRegistry() *stats.Registry {
 	gauge("heartbeat_miss_streak", "Consecutive failed coordinator heartbeats.", "heartbeat_misses", func() float64 {
 		return float64(s.hbMisses.Load())
 	})
-	gauge("engine_flushes", "Policy engine flush cycles.", "engine_flushes", func() float64 {
+	gauge("engine_flushes", "Policy engine flushes: one per write-driven wake-up, slice boundary with a key held, heartbeat or forced flush — not one per slice.", "engine_flushes", func() float64 {
 		return float64(s.engine.Stats().Flushes)
 	})
 	gauge("engine_invalidates", "Invalidate decisions made by the engine.", "engine_inv_sent", func() float64 {
@@ -376,9 +387,15 @@ func (s *Server) buildRegistry() *stats.Registry {
 	r.Histogram("freshcache_store_replication_rtt_seconds",
 		"Replication fan-out latency per acknowledged write.",
 		stats.LatencySecondsBuckets, 1e9, "", &s.repRTT)
-	r.Histogram("freshcache_store_flush_dwell_seconds",
-		"Time a pushed key's oldest unpushed write waited for its flush.",
-		stats.LatencySecondsBuckets, 1e9, "", &s.flushDwell)
+	// By edge, so the leading series can be held against a write-to-visible
+	// probe directly instead of un-mixing one mean.
+	dwell := func(edge string, h *stats.Histogram) {
+		r.LabeledHistogram("freshcache_store_flush_dwell_seconds",
+			"Time a pushed key's oldest unpushed write waited for its flush.",
+			[]string{"edge"}, []string{edge}, stats.LatencySecondsBuckets, 1e9, "", h)
+	}
+	dwell("leading", &s.dwellLeading)
+	dwell("cooldown", &s.dwellCooldown)
 	r.Histogram("freshcache_store_batch_size",
 		"Keys per multi-key request (MGET/MFILL/MPUT).",
 		stats.BatchSizeBuckets, 1, "batch_size_samples", &s.batchSize)
@@ -489,32 +506,94 @@ func (s *Server) closePeers() {
 	s.peerMu.Unlock()
 }
 
-// flusher drives the engine's leading-edge flush (see package core): at
-// each of the core.Slices slice boundaries per T it pushes the dirty keys
-// that have a reader and were not pushed within the last T — a write goes
-// out within T, a key at most once per T, a write to a quiet key within
-// T/core.Slices. Slice numbers come from the wall clock, so a late tick
-// stretches no cooldown.
+// flusher drives the engine's leading-edge flush (see package core) from
+// the writes themselves. A kick — a write request left a key due now, or
+// found the engine empty and this loop perhaps asleep until its heartbeat —
+// flushes at once, in the current slice, unless a frame went out less than
+// floor ago (the flush waits for the floor to end and every write inside it
+// rides one frame: at most 1/floor kicked frames a second at any write rate)
+// or some subscriber's queue is over half full (the due keys wait for the
+// next slice boundary: a subscriber that stalls is sent core.Slices frames
+// per T). The one timer serves what no write announces: the next boundary,
+// armed only while the engine holds a key — cooldowns end there, and keys
+// nobody has read go out there — and the heartbeat, T after the last frame:
+// an idle store wakes once per T. Slice numbers come from the wall clock, so
+// a late wake-up stretches no cooldown.
 func (s *Server) flusher(ctx context.Context) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(max(s.cfg.T/core.Slices, min(s.cfg.T, time.Millisecond)))
-	defer ticker.Stop()
-	start := time.Now()
+	T := s.cfg.T
+	floor := min(T, time.Millisecond)
+	// Boundaries are kept every step slices: each one, unless T is so short
+	// that a slice is shorter than the floor.
+	step := uint64(max(1, (floor*core.Slices+T-1)/T))
+	startOf := func(n uint64) time.Duration {
+		return time.Duration((n*uint64(T) + core.Slices - 1) / core.Slices)
+	}
+	var (
+		start     = time.Now()
+		flushed   uint64        // the slice of the last flush
+		lastFrame time.Duration // when the last frame went out, since start
+		wake      = T           // the boundary or heartbeat the timer owes
+	)
+	timer := time.NewTimer(wake)
+	defer timer.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-ticker.C:
-			s.flushOnce(uint64(time.Since(start))*core.Slices/uint64(s.cfg.T), false)
+		case <-s.kick:
+		case <-timer.C:
 		}
+		now := time.Since(start)
+		n := uint64(now) * core.Slices / uint64(T)
+		declined := false
+		if n < flushed+step && now-lastFrame < T { // no boundary, no heartbeat: a kick
+			if end := lastFrame + floor; now < end {
+				timer.Reset(min(end, wake) - now)
+				continue
+			}
+			declined = s.backlogged()
+		}
+		if !declined {
+			if s.flushOnce(n, false) {
+				lastFrame = now
+			}
+			flushed = n
+		}
+		wake = lastFrame + T
+		if declined || s.engine.Pending() {
+			wake = min(wake, startOf(flushed+step))
+		}
+		timer.Reset(wake - time.Since(start))
 	}
 }
 
-// flushOnce flushes slice n — or with everything set, all that is dirty,
-// cooldowns ignored — as one epoch frame. A slice with nothing to push
-// sends nothing, unless a whole T has passed without a frame: the caches
-// take a longer silence for a dead channel.
-func (s *Server) flushOnce(n uint64, everything bool) {
+// kickFlusher tells the flusher that something is due now. It never blocks:
+// the one slot already taken means the flusher has yet to look.
+func (s *Server) kickFlusher() {
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
+}
+
+// backlogged reports whether any subscriber's queue is over half full.
+func (s *Server) backlogged() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for sub := range s.subs {
+		if len(sub.out) > cap(sub.out)/2 {
+			return true
+		}
+	}
+	return false
+}
+
+// flushOnce flushes in slice n — or with everything set, all that is dirty,
+// cooldowns ignored — as one epoch frame, and reports whether it sent one. A
+// flush with nothing to push sends nothing, unless a whole T has passed
+// without a frame: the caches take a longer silence for a dead channel.
+func (s *Server) flushOnce(n uint64, everything bool) (sent bool) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	s.decisions = s.decisions[:0]
@@ -548,24 +627,25 @@ func (s *Server) flushOnce(n uint64, everything bool) {
 				updates++
 			}
 		}
+		pushes, dwell := &s.c.PushesLeading, &s.dwellLeading
 		if d.Held {
-			s.c.PushesCooldown.Inc()
-		} else {
-			s.c.PushesLeading.Inc()
+			pushes, dwell = &s.c.PushesCooldown, &s.dwellCooldown
 		}
+		pushes.Inc()
 		if d.Since != 0 {
-			s.flushDwell.Observe(float64(now - d.Since))
+			dwell.Observe(float64(now - d.Since))
 		}
 		ops = append(ops, op)
 	}
 	s.c.UpdatesSent.Add(uint64(updates))
 	s.c.InvalidatesSent.Add(uint64(len(ops) - updates))
-	if len(ops) > 0 || everything || n-s.lastBatch >= core.Slices {
+	if sent = len(ops) > 0 || everything || n-s.lastBatch >= core.Slices; sent {
 		s.lastBatch = max(s.lastBatch, n) // TestFlush has no slice number
 		s.pushBatch(ops)
 	}
 	clear(ops) // the borrowed values must not outlive the encode
 	s.ops = ops[:0]
+	return sent
 }
 
 // pushBatch sends ops (none: a heartbeat) to every subscriber as the next
@@ -697,13 +777,15 @@ const maxConnInflight = 256
 // connState is the per-connection server-side state: the queue to its
 // writer, holding one slot per request still to be answered off the read
 // loop; at most one push subscription; at most one outbound key-range
-// migration; and the read loop's scratch for the write it is dispatching.
+// migration; and the read loop's scratch for the write, or the read report,
+// it is dispatching.
 type connState struct {
 	s *Server
 	*proto.ReplyQueue
 	sub   *subscriber
 	mig   *outMigration
 	write writeScratch
+	reads []core.ReadCount
 }
 
 // answer closes tr's hop span on resp and queues it as the response to a
@@ -789,6 +871,7 @@ func (s *Server) dispatch(m *proto.Msg, conn net.Conn, cs *connState, out chan p
 	case proto.MsgReadReport:
 		s.c.ReadReports.Inc()
 		var stray map[string][]proto.ReadReport
+		reads := cs.reads[:0]
 		s.clMu.RLock()
 		for _, rp := range m.Reports {
 			n := min(rp.Count, s.cfg.MaxReportCount)
@@ -799,9 +882,11 @@ func (s *Server) dispatch(m *proto.Msg, conn net.Conn, cs *connState, out chan p
 				stray[target] = append(stray[target], proto.ReadReport{Key: rp.Key, Count: n})
 				continue
 			}
-			s.engine.ObserveReadN(rp.Key, n)
+			reads = append(reads, core.ReadCount{Key: rp.Key, N: n})
 		}
 		s.clMu.RUnlock()
+		s.engine.ObserveReads(reads)
+		cs.reads = reads[:0] // keeps no key the reused request Msg does not
 		if stray != nil {
 			// Reads reported under a stale ring: relay them to the stores
 			// that serve those keys so their policy engines keep seeing

@@ -388,9 +388,11 @@ func TestReadReportBulkIngestion(t *testing.T) {
 	if _, err := c.Put("hot", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	decisions := s.Engine().Flush()
-	if len(decisions) != 1 || decisions[0].Action != core.ActionUpdate {
-		t.Fatalf("decisions after bulk read report: %+v", decisions)
+	// A write to a read key is due at once: the flusher may get to it before
+	// this Flush does.
+	s.Engine().Flush()
+	if st := s.Engine().Stats(); st.UpdatesSent != 1 || st.InvalidatesSent != 0 {
+		t.Fatalf("decisions after bulk read report: %+v", st)
 	}
 	// Counts above MaxReportCount are clamped, not rejected.
 	if err := c.ReadReport([]proto.ReadReport{{Key: "hot", Count: 1 << 30}}); err != nil {

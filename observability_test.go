@@ -224,10 +224,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"freshcache_store_push_decisions_total{action=\"invalidate\"}",
 		"freshcache_store_replication_rtt_seconds_count",
 		// The one write went out once, after a dwell the store observed:
-		// at the next slice if the first GET's fill beat it there, held
-		// for a reader otherwise.
+		// nobody had read the key when it was written, so it was held.
 		"# TYPE freshcache_store_flush_dwell_seconds histogram",
-		"freshcache_store_flush_dwell_seconds_count 1",
+		"freshcache_store_flush_dwell_seconds_count{edge=\"leading\"} 0",
+		"freshcache_store_flush_dwell_seconds_count{edge=\"cooldown\"} 1",
 		"freshcache_store_pushes_leading_total ",
 		"freshcache_store_pushes_cooldown_total ",
 	} {

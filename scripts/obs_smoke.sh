@@ -71,7 +71,8 @@ check_metrics store "$OBS_STORE" \
     'freshcache_store_batch_ops_total{op="mget"}' \
     'freshcache_store_batch_ops_total{op="mput"}' \
     freshcache_store_batch_size_bucket \
-    freshcache_store_flush_dwell_seconds_bucket \
+    'freshcache_store_flush_dwell_seconds_bucket{edge="leading",' \
+    'freshcache_store_flush_dwell_seconds_bucket{edge="cooldown",' \
     freshcache_store_pushes_leading_total \
     freshcache_store_pushes_cooldown_total
 check_metrics cache "$OBS_CACHE" \

@@ -67,6 +67,7 @@ var labelAllowlist = map[string]bool{
 	"change": true, // pending membership change id
 	"node":   true, // cluster node id
 	"result": true, // ok / error outcome
+	"edge":   true, // flush edge a key was pushed on: leading, cooldown
 }
 
 var nameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
@@ -297,7 +298,7 @@ func checkLabels(pass *analysis.Pass, call *ast.CallExpr, labelsAt int, vecLabel
 
 func checkLabel(pass *analysis.Pass, pos token.Pos, label string) {
 	if !labelAllowlist[label] {
-		pass.Reportf(pos, "metric label %q is not in the fixed label set (op, kind, action, store, addr, change, node, result): reusing an existing label keeps dashboards joinable", label)
+		pass.Reportf(pos, "metric label %q is not in the fixed label set (op, kind, action, store, addr, change, node, result, edge): reusing an existing label keeps dashboards joinable", label)
 	}
 }
 
