@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation artifacts, one per table
-// and figure (see DESIGN.md §3 and EXPERIMENTS.md for recorded outputs):
+// and figure (internal/experiments; README "Quick start" for the harness):
 //
 //	BenchmarkFig2*   — Figure 2: TTL-expiry C′_S vs staleness bound
 //	BenchmarkFig3*   — Figure 3: TTL-polling C′_F vs staleness bound

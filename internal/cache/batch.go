@@ -29,18 +29,16 @@ type batchMisses struct {
 }
 
 // mgetLookup is the non-blocking half of a batched read: one pass over
-// the resident set doing every key's accounting. The response carries
-// one op per requested key in request order — BatchUpdate for a fresh
-// hit, BatchInvalidate (a clean not-found, until a fill says otherwise)
-// for the rest — and is complete when there are no misses. Nothing it
-// returns aliases m, whose Keys slice the reader reuses.
-func (s *Server) mgetLookup(m *proto.Msg) (*proto.Msg, batchMisses) {
+// the resident set doing every key's accounting. The answer, built in ops'
+// capacity, carries one op per requested key in request order — BatchUpdate
+// for a fresh hit, BatchInvalidate (a clean not-found, until a fill says
+// otherwise) for the rest — and is complete when there are no misses.
+// Nothing it returns aliases m, whose Keys slice the reader reuses (keys are
+// interned strings).
+func (s *Server) mgetLookup(m *proto.Msg, ops []proto.BatchOp) ([]proto.BatchOp, batchMisses) {
 	keys := m.Keys
-	resp := proto.GetMsg()
-	resp.Type, resp.Seq = proto.MsgMGetResp, m.Seq
-	resp.Ops = make([]proto.BatchOp, len(keys))
-	for i, k := range keys {
-		resp.Ops[i] = proto.BatchOp{Kind: proto.BatchInvalidate, Key: k}
+	for _, k := range keys {
+		ops = append(ops, proto.BatchOp{Kind: proto.BatchInvalidate, Key: k})
 	}
 
 	now := time.Now()
@@ -51,14 +49,14 @@ func (s *Server) mgetLookup(m *proto.Msg) (*proto.Msg, batchMisses) {
 		if fresh {
 			// Entry values are immutable once installed, so the borrow
 			// stays a stable snapshot through the encode.
-			resp.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Value: e.Value, Version: e.Version}
+			ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Value: e.Value, Version: e.Version}
 			return
 		}
 		misses.keys = append(misses.keys, keys[i])
 		misses.idx = append(misses.idx, i)
 		misses.found = append(misses.found, found)
 	})
-	return resp, misses
+	return ops, misses
 }
 
 // mgetFill is the blocking half: it fills the misses and completes resp.

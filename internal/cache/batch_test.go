@@ -167,8 +167,8 @@ func TestSingleFlightFillDedupe(t *testing.T) {
 	}
 	batchDone := make(chan *proto.Msg, 1)
 	go func() {
-		resp, misses := ca.mgetLookup(&proto.Msg{Type: proto.MsgMGet, Keys: []string{"k", "k"}})
-		batchDone <- ca.mgetFill(resp, misses, nil)
+		ops, misses := ca.mgetLookup(&proto.Msg{Type: proto.MsgMGet, Keys: []string{"k", "k"}}, nil)
+		batchDone <- ca.mgetFill(&proto.Msg{Type: proto.MsgMGetResp, Ops: ops}, misses, nil)
 	}()
 	waitFor(t, 5*time.Second, func() bool {
 		return ca.StatsMap()["fills_deduped"] == 6

@@ -976,6 +976,7 @@ const maxConnInflight = 256
 type connState struct {
 	s *Server
 	*proto.ReplyQueue
+	ops []proto.BatchOp // the read loop's scratch for an MGET's answer
 }
 
 // answer closes tr's hop span on resp and queues it as the response to a
@@ -1034,17 +1035,22 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	conn.Close()
 }
 
+// maxScratchOps bounds the op scratch a connection keeps, so one giant MGET
+// does not pin its answer's size for the connection's lifetime.
+const maxScratchOps = 4096
+
 // carryOn answers an MGET with misses asynchronously through the
 // connection's writer, once its blocking remainder — the batched fill — is
-// done; the lookup and its accounting the read loop has already done. It
-// returns nil — dispatch's "no response yet".
-func (s *Server) carryOn(cs *connState, tr *proto.SpanRec, resp *proto.Msg, misses batchMisses) *proto.Msg {
+// done; the lookup and its accounting the read loop has already done. The
+// answer so far, ops, is the connection's scratch: it gets a copy.
+func (s *Server) carryOn(cs *connState, tr *proto.SpanRec, seq uint64, ops []proto.BatchOp, misses batchMisses) {
+	resp := proto.GetMsg()
+	resp.Type, resp.Seq, resp.Ops = proto.MsgMGetResp, seq, append([]proto.BatchOp(nil), ops...)
 	cs.Acquire()
 	go func() {
 		defer cs.Release()
 		cs.Out <- proto.Outgoing{Msg: s.finishTrace(tr, s.mgetFill(resp, misses, tr)), Pooled: true}
 	}()
-	return nil
 }
 
 // finishTrace closes a traced request's hop span on its response and
@@ -1074,8 +1080,8 @@ func getResp(seq uint64, value []byte, version uint64, err error) *proto.Msg {
 }
 
 // dispatch runs on the connection's read loop. It returns the response,
-// or nil after parking the request on a flight, relaying it to a store or
-// handing its blocking remainder to carryOn.
+// or nil after queuing an MGET's itself, parking the request on a flight,
+// relaying it to a store or handing its blocking remainder to carryOn.
 // m is the reader's: valid only until dispatch returns.
 func (s *Server) dispatch(m *proto.Msg, cs *connState, tr *proto.SpanRec) *proto.Msg {
 	switch m.Type {
@@ -1091,11 +1097,19 @@ func (s *Server) dispatch(m *proto.Msg, cs *connState, tr *proto.SpanRec) *proto
 	case proto.MsgMGet:
 		s.c.MGetKeys.Add(uint64(len(m.Keys)))
 		s.batchSize.Observe(float64(len(m.Keys)))
-		resp, misses := s.mgetLookup(m)
-		if len(misses.keys) == 0 {
-			return resp
+		ops, misses := s.mgetLookup(m, cs.ops[:0])
+		if len(misses.keys) > 0 {
+			s.carryOn(cs, tr, m.Seq, ops, misses)
+		} else { // encoded before the scratch is reused
+			resp := proto.Msg{Type: proto.MsgMGetResp, Seq: m.Seq, Ops: ops}
+			o, _ := proto.EncodeNow(s.finishTrace(tr, &resp)) // past MaxFrame, o is the MsgErr
+			cs.Out <- o
 		}
-		return s.carryOn(cs, tr, resp, misses)
+		clear(ops) // the values are resident entries': keep none alive from here
+		if cap(ops) <= maxScratchOps {
+			cs.ops = ops
+		}
+		return nil
 	case proto.MsgPing:
 		return &proto.Msg{Type: proto.MsgPong, Seq: m.Seq}
 	case proto.MsgStats:

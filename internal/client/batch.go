@@ -51,18 +51,45 @@ func (c *Client) mget(t proto.MsgType, keys []string, traceID uint64) ([]MGetRes
 	if len(keys) == 0 {
 		return nil, nil, nil
 	}
-	req := newReq(t)
-	req.Keys = keys
-	if traceID != 0 {
-		req.Trace = &proto.Trace{ID: traceID}
+	b := c.batch(t, keys, nil, traceID)
+	defer b.release()
+	return b.get, b.tr, b.err
+}
+
+// batch waits for the MGET or MFILL of keys, or for their MPUT with values.
+func (c *Client) batch(verb proto.MsgType, keys []string, values [][]byte, traceID uint64) *call {
+	b := callPool.Get().(*call)
+	b.keys = keys
+	req := newReq(verb)
+	if verb == proto.MsgMPut {
+		for i, k := range keys {
+			b.ops = append(b.ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Value: values[i]})
+		}
+		req.Ops = b.ops
+	} else {
+		req.Keys = keys
 	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, nil, err
+	return c.wait(b, req, traceID)
+}
+
+// mgetResults copies a batched read's answer — ops, one per key in request
+// order — into the caller's own results: one slice, and one buffer for
+// every value found.
+func mgetResults(ops []proto.BatchOp) []MGetResult {
+	total := 0
+	for i := range ops {
+		total += len(ops[i].Value)
 	}
-	tr := resp.Trace
-	res, err := mgetResults(resp, keys)
-	return res, tr, err
+	buf := make([]byte, 0, total)
+	out := make([]MGetResult, len(ops))
+	for i, op := range ops {
+		if op.Kind == proto.BatchUpdate {
+			at := len(buf)
+			buf = append(buf, op.Value...)
+			out[i] = MGetResult{Value: buf[at:len(buf):len(buf)], Version: op.Version, Found: true}
+		}
+	}
+	return out
 }
 
 // MGetAsync is MGet without the wait — GetAsync's contract, cold-slot
@@ -82,23 +109,6 @@ func (c *Client) MFillAsync(keys []string, traceID uint64, done Completion) {
 	c.startAsync(req, traceID, done)
 }
 
-// mgetResults consumes (and releases) resp, mapping its op list back
-// onto the request's key order.
-func mgetResults(resp *proto.Msg, keys []string) ([]MGetResult, error) {
-	defer proto.PutMsg(resp)
-	ops, err := DecodeMGet(resp, keys)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MGetResult, len(keys))
-	for i, op := range ops {
-		if op.Kind == proto.BatchUpdate {
-			out[i] = MGetResult{Value: op.Value, Version: op.Version, Found: true}
-		}
-	}
-	return out, nil
-}
-
 // DecodeMGet checks an MGET's response — the one lent to an MGetAsync
 // completion, say — against the keys requested, exactly as MGet would,
 // request-level server errors included, and returns its ops: one per
@@ -109,7 +119,9 @@ func DecodeMGet(resp *proto.Msg, keys []string) ([]proto.BatchOp, error) {
 }
 
 // decodeBatch is the one check of a batched response against the keys
-// requested: its type, one op per key, in request order.
+// requested: its type, one op per key, and the digest of the keys it
+// answers, which must be these in request order. It then labels the
+// positional ops with the caller's own key strings.
 func decodeBatch(resp *proto.Msg, want proto.MsgType, verb string, keys []string) ([]proto.BatchOp, error) {
 	if err := serverErr(resp); err != nil {
 		return nil, err
@@ -121,11 +133,12 @@ func decodeBatch(resp *proto.Msg, want proto.MsgType, verb string, keys []string
 		return nil, fmt.Errorf("client: %s answered %d keys for %d requested",
 			verb, len(resp.Ops), len(keys))
 	}
+	if resp.Digest != proto.KeysDigest(keys) {
+		return nil, fmt.Errorf("client: %s response out of order: it answers other keys than the %d requested, or them in another order",
+			verb, len(keys))
+	}
 	for i := range resp.Ops {
-		if resp.Ops[i].Key != keys[i] {
-			return nil, fmt.Errorf("client: %s response out of order: key %q at slot %d (want %q)",
-				verb, resp.Ops[i].Key, i, keys[i])
-		}
+		resp.Ops[i].Key = keys[i]
 	}
 	return resp.Ops, nil
 }
@@ -152,33 +165,9 @@ func (c *Client) mput(keys []string, values [][]byte, traceID uint64) ([]MPutRes
 	if len(keys) == 0 {
 		return nil, nil, nil
 	}
-	req := newReq(proto.MsgMPut)
-	req.Ops = make([]proto.BatchOp, len(keys))
-	for i, k := range keys {
-		req.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Value: values[i]}
-	}
-	if traceID != 0 {
-		req.Trace = &proto.Trace{ID: traceID}
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := resp.Trace
-	defer proto.PutMsg(resp)
-	ops, err := DecodeMPut(resp, keys)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]MPutResult, len(keys))
-	for i, op := range ops {
-		if op.Kind == proto.BatchInvalidate {
-			out[i] = MPutResult{Err: MPutKeyError(op.Key)}
-			continue
-		}
-		out[i] = MPutResult{Version: op.Version}
-	}
-	return out, tr, nil
+	b := c.batch(proto.MsgMPut, keys, values, traceID)
+	defer b.release()
+	return b.put, b.tr, b.err
 }
 
 // MPutAsync is MPut without the wait — GetAsync's contract, cold-slot

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -76,8 +77,56 @@ func TestMPutPartialFailureSurfacesPerKey(t *testing.T) {
 	if res[0].Err != nil || res[0].Version != 1 {
 		t.Errorf("healthy key = %+v", res[0])
 	}
-	if !errors.Is(res[1].Err, ErrServer) {
-		t.Errorf("failed key err = %v, want ErrServer", res[1].Err)
+	if !errors.Is(res[1].Err, ErrServer) || !strings.Contains(res[1].Err.Error(), `"bad"`) {
+		t.Errorf("failed key err = %v, want ErrServer naming the key", res[1].Err)
+	}
+}
+
+// A batched answer names the keys it answers only by their digest:
+// decodeBatch fails one that answers the keys asked in another order,
+// answers another key in place of one, or drops one, and labels a good
+// one's ops with the caller's own key strings.
+func TestDecodeBatchChecksTheKeysAnswered(t *testing.T) {
+	answer := func(typ proto.MsgType, keys []string) *proto.Msg {
+		m := &proto.Msg{Type: typ}
+		for _, k := range keys {
+			m.Ops = append(m.Ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: k, Version: 1})
+		}
+		frame, err := proto.AppendFrame(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := proto.NewReader(bytes.NewReader(frame)).ReadMsg()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	asked := []string{"a", "b", "c"}
+	for _, tc := range []struct {
+		name, want string
+		keys       []string
+	}{
+		{"swapped", "out of order", []string{"b", "a", "c"}},
+		{"changed", "out of order", []string{"a", "b", "x"}},
+		{"duplicated", "out of order", []string{"a", "b", "b"}},
+		{"dropped", "answered 2 keys for 3 requested", []string{"a", "c"}},
+	} {
+		if _, err := DecodeMGet(answer(proto.MsgMGetResp, tc.keys), asked); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s MGET answer decoded to %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := DecodeMPut(answer(proto.MsgMPutResp, tc.keys), asked); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s MPUT answer decoded to %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	ops, err := DecodeMGet(answer(proto.MsgMGetResp, asked), asked)
+	if err != nil || len(ops) != len(asked) {
+		t.Fatalf("DecodeMGet = %d ops, %v", len(ops), err)
+	}
+	for i, op := range ops {
+		if op.Key != asked[i] || op.Version != 1 {
+			t.Errorf("op %d = %+v, want labeled %q", i, op, asked[i])
+		}
 	}
 }
 

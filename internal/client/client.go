@@ -41,6 +41,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"freshcache/internal/proto"
@@ -117,15 +118,15 @@ func (c *Client) Addr() string { return c.addr }
 
 // do performs one exchange and unwraps server-level errors. It owns
 // req: callers build requests with proto.GetMsg (or a literal) and do
-// recycles them once the transport is done — the request is encoded
-// synchronously inside roundTrip, so nothing aliases it after return.
-// The returned response is pooled too; callers must release it via
-// proto.PutMsg after extracting what they need. Everything a caller
+// recycles them once they are encoded, so nothing aliases it after return.
+// The returned response is an owned copy, pooled too; callers must release
+// it via proto.PutMsg after extracting what they need. Everything a caller
 // might retain (Value, Stats, Nodes, ring fields) is freshly allocated
 // per response, so extraction is plain field reads, not copies.
 func (c *Client) do(req *proto.Msg) (*proto.Msg, error) {
-	resp, err := c.tr.roundTrip(req)
-	proto.PutMsg(req)
+	b := c.wait(callPool.Get().(*call), req, 0)
+	resp, err := b.resp, b.err
+	b.release()
 	if err != nil {
 		return nil, err
 	}
@@ -134,6 +135,68 @@ func (c *Client) do(req *proto.Msg) (*proto.Msg, error) {
 		return nil, err
 	}
 	return resp, nil
+}
+
+// call is a blocking verb's pooled completion: it takes what the caller
+// keeps from the lent answer — a batch verb's results, decoded in place
+// against keys (one result slice and, for a read, one buffer for every
+// value found), or else an owned copy of the response — and wakes the
+// caller. The exactly-once rule means done holds at most one delivery.
+type call struct {
+	verb proto.MsgType // the request's
+	keys []string
+	ops  []proto.BatchOp // an MPUT's request
+	resp *proto.Msg
+	get  []MGetResult
+	put  []MPutResult
+	tr   *proto.Trace
+	err  error
+	done chan struct{}
+}
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+// wait sends req the way the asynchronous verbs do — encoded before the
+// answer can come, so b.ops is free again — and waits for the answer.
+// The caller reads it off b, then releases b.
+func (c *Client) wait(b *call, req *proto.Msg, traceID uint64) *call {
+	b.verb = req.Type
+	c.startAsync(req, traceID, b)
+	<-b.done
+	return b
+}
+
+func (b *call) Complete(resp *proto.Msg, err error) {
+	var ops []proto.BatchOp
+	switch {
+	case err != nil:
+	case b.verb == proto.MsgMGet || b.verb == proto.MsgMFill:
+		if ops, err = DecodeMGet(resp, b.keys); err == nil {
+			b.get, b.tr = mgetResults(ops), resp.Trace // the trace is per frame, not lent
+		}
+	case b.verb == proto.MsgMPut:
+		if ops, err = DecodeMPut(resp, b.keys); err == nil {
+			b.put, b.tr = make([]MPutResult, len(ops)), resp.Trace
+			for i, op := range ops {
+				b.put[i] = MPutResult{Version: op.Version}
+				if op.Kind == proto.BatchInvalidate {
+					b.put[i] = MPutResult{Err: MPutKeyError(b.keys[i])}
+				}
+			}
+		}
+	default:
+		b.resp = ownedCopy(resp)
+	}
+	b.err = err
+	b.done <- struct{}{} // buffered; never blocks
+}
+
+func (b *call) release() {
+	clear(b.ops) // the caller's values
+	*b = call{ops: b.ops[:0], done: b.done}
+	if cap(b.ops) <= maxPooledScatterKeys {
+		callPool.Put(b)
+	}
 }
 
 // serverErr unwraps a request-level error answer (MsgErr).
@@ -193,9 +256,9 @@ func (c *Client) get(t proto.MsgType, key string, traceID uint64) ([]byte, uint6
 // Completion; DecodeGet reads it — or with the transport error. traceID
 // rides on the wire like every other verb's (0 = untraced). On a live
 // connection nothing is spawned and done runs on that connection's
-// reader; when the target must first be (re)dialed, the ordinary blocking
-// exchange runs on a goroutine of its own and lends its response the same
-// way, so the caller never waits out a dial.
+// reader; when the target must first be (re)dialed, the dial runs on a
+// goroutine of its own and done then runs on the new connection's reader,
+// so the caller never waits out a dial.
 func (c *Client) GetAsync(key string, traceID uint64, done Completion) {
 	req := newReq(proto.MsgGet)
 	req.Key = key
@@ -224,10 +287,8 @@ func (c *Client) startAsync(req *proto.Msg, traceID uint64, done Completion) {
 	own := ownedCopy(req)
 	proto.PutMsg(req)
 	go func() {
-		resp, err := c.tr.roundTrip(own)
+		c.tr.startDialing(own, done)
 		proto.PutMsg(own)
-		done.Complete(resp, err)
-		proto.PutMsg(resp)
 	}()
 }
 

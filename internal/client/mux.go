@@ -24,9 +24,9 @@ import (
 // There is one request path, and it is completion-based: a request
 // registers a Completion under its sequence number (muxConn.start) and
 // the demux reader invokes it with the response before reading the next
-// frame. A blocking call is that primitive with a completion that copies
-// the response and sends it on a channel (muxConn.do); a proxy relays
-// from inside the completion and never parks a goroutine on the request
+// frame. A blocking call is that primitive with a completion that takes
+// what its caller keeps and wakes it (Client.wait); a proxy relays from
+// inside the completion and never parks a goroutine on the request
 // (Client.startAsync).
 //
 // Timeouts are deadline sweeps, not per-request timers: each pending
@@ -61,31 +61,25 @@ func newMux(addr string, opts Options) *muxTransport {
 	return &muxTransport{addr: addr, opts: opts, slots: make([]muxSlot, opts.MaxConns)}
 }
 
-// roundTrip assigns req's Seq and performs one blocking exchange,
-// retrying on another connection only while the request provably never
-// left this client. The caller owns the response (proto.PutMsg).
-func (t *muxTransport) roundTrip(req *proto.Msg) (*proto.Msg, error) {
+// startDialing is start for a request that found no live connection: it
+// dials where it must and retries on another connection only while the
+// request provably never left this client; done gets the error of one that
+// never starts. It blocks through the dial: callers spawn it.
+func (t *muxTransport) startDialing(req *proto.Msg, done Completion) {
 	req.Seq = t.seq.Add(1)
-	var lastErr error
+	var err error
 	for attempt := 0; attempt < t.opts.MaxAttempts; attempt++ {
-		slot := &t.slots[t.rr.Add(1)%uint64(len(t.slots))]
-		mc, err := slot.get(t)
-		if err != nil {
-			return nil, err // dial (or closed-client) failures are terminal
+		mc, derr := t.slots[t.rr.Add(1)%uint64(len(t.slots))].get(t)
+		if derr != nil {
+			done.Complete(nil, derr) // dial (or closed-client) failures are terminal
+			return
 		}
-		resp, sent, err := mc.do(req, t.opts.RequestTimeout)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if sent {
-			// The request may have reached the wire; retrying could
-			// double-apply a write.
-			return nil, err
+		if err = mc.start(req, t.opts.RequestTimeout, done); err == nil {
+			return
 		}
 	}
-	return nil, fmt.Errorf("client: request failed after %d attempts on broken connections: %w",
-		t.opts.MaxAttempts, lastErr)
+	done.Complete(nil, fmt.Errorf("client: request failed after %d attempts on broken connections: %w",
+		t.opts.MaxAttempts, err))
 }
 
 // start is the non-blocking entry: it begins req on a live connection
@@ -243,25 +237,6 @@ type muxConn struct {
 type pendingReq struct {
 	deadline int64
 	done     Completion
-}
-
-type muxResult struct {
-	m   *proto.Msg
-	err error
-}
-
-// waiter is the blocking call's pooled completion: it takes an owned
-// copy of the lent response and hands it over a buffered channel. The
-// exactly-once rule means the channel holds at most one delivery, so
-// after the receive the waiter is clean to reuse.
-type waiter struct {
-	ch chan muxResult
-}
-
-var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan muxResult, 1)} }}
-
-func (w *waiter) Complete(resp *proto.Msg, err error) {
-	w.ch <- muxResult{m: ownedCopy(resp), err: err} // buffered; never blocks
 }
 
 // ownedCopy clones a lent Msg — a response, or the request of an
@@ -494,21 +469,6 @@ func (mc *muxConn) start(req *proto.Msg, timeout time.Duration, done Completion)
 	default:
 		return mc.enqueueSlow(req.Seq, fb, timeout)
 	}
-}
-
-// do submits req and waits for its response, which the caller owns.
-// sent reports whether the frame may have reached the wire: false means
-// the request provably never left this client and is safe to retry on
-// another connection.
-func (mc *muxConn) do(req *proto.Msg, timeout time.Duration) (resp *proto.Msg, sent bool, err error) {
-	w := waiterPool.Get().(*waiter)
-	if err := mc.start(req, timeout, w); err != nil {
-		waiterPool.Put(w) // never registered, or taken back: nothing will deliver
-		return nil, false, err
-	}
-	res := <-w.ch
-	waiterPool.Put(w) // single delivery consumed; clean to reuse
-	return res.m, true, res.err
 }
 
 // enqueueSlow blocks until the full send queue accepts fb, the

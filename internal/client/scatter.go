@@ -339,7 +339,7 @@ func (sc *Scatter) Reset() {
 }
 
 // gathered is the blocking verbs' Scattered: Finish hands the record back
-// to the goroutine waiting on it, as the transport's waiter does a response.
+// to the goroutine waiting on it, as a blocking call's completion does.
 type gathered struct {
 	Scatter
 	done chan struct{}
@@ -386,19 +386,9 @@ func (s *Sharded) MFillTraced(keys []string, traceID uint64) ([]MGetResult, []*p
 func (s *Sharded) mget(verb proto.MsgType, keys []string, traceID uint64) ([]MGetResult, []*proto.Trace) {
 	g := s.gather(verb, keys, nil, traceID, false)
 	defer g.release()
-	out := make([]MGetResult, len(keys))
-	total := 0
-	for i := range g.ops {
-		total += len(g.ops[i].Value)
-	}
-	buf := make([]byte, 0, total) // the caller's copy: one allocation per batch
-	for i, op := range g.ops {
+	out := mgetResults(g.ops)
+	for i := range out {
 		out[i].Err = g.errs[i]
-		if op.Kind == proto.BatchUpdate {
-			at := len(buf)
-			buf = append(buf, op.Value...)
-			out[i] = MGetResult{Value: buf[at:len(buf):len(buf)], Version: op.Version, Found: true}
-		}
 	}
 	return out, g.appendTraces(nil)
 }

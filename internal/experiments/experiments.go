@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation (see DESIGN.md §3 for the experiment index):
+// evaluation:
 //
 //	Fig2   — TTL-expiry normalized staleness cost vs staleness bound
 //	Fig3   — TTL-polling normalized freshness cost vs staleness bound
@@ -10,9 +10,9 @@
 //
 // Each experiment returns plain row structs; cmd/freshbench prints them
 // and bench_test.go wraps them in testing.B benchmarks. Absolute numbers
-// depend on the synthetic workloads (see DESIGN.md §4 on substitutions);
-// the shapes — who wins, by what order of magnitude, where the curves
-// bend — are the reproduction targets, recorded in EXPERIMENTS.md.
+// depend on the synthetic workloads (package workload's stand-ins for the
+// production traces); the shapes — who wins, by what order of magnitude,
+// where the curves bend — are the reproduction targets.
 package experiments
 
 import (

@@ -84,6 +84,22 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
+// stackBatch is the batch size up to which the batch operations keep their
+// keys' stripe numbers on the stack, so none of them allocates for it.
+const stackBatch = 64
+
+// stripes returns the stripe of every key, appended to sids, and the set
+// of stripes the batch touches.
+func stripes(keys []string, sids []uint8) ([]uint8, [numShards]bool) {
+	var occupied [numShards]bool
+	for _, k := range keys {
+		sid := uint8(sketch.Hash(k) & (numShards - 1))
+		sids = append(sids, sid)
+		occupied[sid] = true
+	}
+	return sids, occupied
+}
+
 func (c *Cache) shard(key string) *cacheShard {
 	return &c.shards[sketch.Hash(key)&(numShards-1)]
 }
@@ -109,21 +125,8 @@ func (c *Cache) Get(key string, now time.Time) (e Entry, found, fresh bool) {
 // a copy, like Get's. This is the batch serve path's amortization: a
 // 32-key MGet pays at most one lock per occupied shard instead of 32.
 func (c *Cache) GetBatch(keys []string, now time.Time, report func(i int, e Entry, found, fresh bool)) {
-	if len(keys) == 0 {
-		return
-	}
-	if len(keys) == 1 {
-		e, found, fresh := c.Get(keys[0], now)
-		report(0, e, found, fresh)
-		return
-	}
-	sids := make([]uint8, len(keys))
-	var occupied [numShards]bool
-	for i, k := range keys {
-		sid := uint8(sketch.Hash(k) & (numShards - 1))
-		sids[i] = sid
-		occupied[sid] = true
-	}
+	var buf [stackBatch]uint8
+	sids, occupied := stripes(keys, buf[:0])
 	for sid := 0; sid < numShards; sid++ {
 		if !occupied[sid] {
 			continue
@@ -474,21 +477,8 @@ func (a *Authority) GetViewAged(key string) (value []byte, version uint64, writt
 // stripe-grouped order, not input order). Values carry GetView's
 // immutability contract.
 func (a *Authority) GetViewAgedBatch(keys []string, report func(i int, value []byte, version uint64, written time.Time, ok bool)) {
-	if len(keys) == 0 {
-		return
-	}
-	if len(keys) == 1 {
-		v, ver, w, ok := a.GetViewAged(keys[0])
-		report(0, v, ver, w, ok)
-		return
-	}
-	sids := make([]uint8, len(keys))
-	var occupied [numShards]bool
-	for i, k := range keys {
-		sid := uint8(sketch.Hash(k) & (numShards - 1))
-		sids[i] = sid
-		occupied[sid] = true
-	}
+	var buf [stackBatch]uint8
+	sids, occupied := stripes(keys, buf[:0])
 	for sid := 0; sid < numShards; sid++ {
 		if !occupied[sid] {
 			continue
@@ -518,17 +508,8 @@ func (a *Authority) GetViewAgedBatch(keys []string, report func(i int, value []b
 // version order within the stripe matches input order, so the
 // higher-indexed write carries the higher version.
 func (a *Authority) PutBatch(keys []string, values [][]byte, versions []uint64, now time.Time) {
-	if len(keys) == 1 {
-		versions[0] = a.Put(keys[0], values[0], now)
-		return
-	}
-	sids := make([]uint8, len(keys))
-	var occupied [numShards]bool
-	for i, k := range keys {
-		sid := uint8(sketch.Hash(k) & (numShards - 1))
-		sids[i] = sid
-		occupied[sid] = true
-	}
+	var buf [stackBatch]uint8
+	sids, occupied := stripes(keys, buf[:0])
 	for sid := 0; sid < numShards; sid++ {
 		if !occupied[sid] {
 			continue

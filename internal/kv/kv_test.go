@@ -529,3 +529,35 @@ func TestPutAtCapacityReusesNode(t *testing.T) {
 		t.Errorf("Evictions = %d, Len = %d, want %d and 3", n, l, next-3)
 	}
 }
+
+// TestBatchAllocationPin holds the batch operations to what must remain: a
+// 16-key GetBatch allocates nothing, and a 16-key PutBatch exactly its 16
+// resident copies of the values. The keys' stripe numbers stay on the
+// stack; they used to cost one slice per call.
+func TestBatchAllocationPin(t *testing.T) {
+	keys, vals := make([]string, 16), make([][]byte, 16)
+	for i := range keys {
+		keys[i], vals[i] = fmt.Sprintf("batch-%d", i), make([]byte, 128)
+	}
+	versions := make([]uint64, len(keys))
+	a, c := NewAuthority(), NewCache(0)
+	for i, k := range keys {
+		c.Put(k, Entry{Value: vals[i], Version: 1, FreshAt: t0})
+	}
+	hits := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.GetBatch(keys, t0, func(i int, e Entry, found, fresh bool) {
+			if fresh {
+				hits++
+			}
+		})
+	}); allocs != 0 {
+		t.Errorf("a 16-key GetBatch allocates %.0f objects, want 0", allocs)
+	}
+	if hits != 1001*len(keys) {
+		t.Errorf("GetBatch reported %d fresh hits, want %d", hits, 1001*len(keys))
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { a.PutBatch(keys, vals, versions, t0) }); allocs != 16 {
+		t.Errorf("a 16-key PutBatch allocates %.0f objects, want 16 (the resident copies)", allocs)
+	}
+}

@@ -335,15 +335,9 @@ type clientConn struct {
 // encoded here, once, into a pooled frame, and the frame is queued
 // without blocking.
 func (cc *clientConn) answer(tr *proto.SpanRec, down *proto.Msg) {
-	s := cc.s
-	o := proto.Outgoing{}
-	if frame, err := proto.EncodeShared(s.finishTrace(tr, down), 1); err == nil {
-		o.Raw = frame
-	} else {
-		// The answer outgrew MaxFrame on re-encoding (a near-limit value
-		// plus this hop's span).
-		s.c.Errors.Inc()
-		o.Msg = &proto.Msg{Type: proto.MsgErr, Seq: down.Seq, Err: err.Error()}
+	o, err := proto.EncodeNow(cc.s.finishTrace(tr, down))
+	if err != nil {
+		cc.s.c.Errors.Inc()
 	}
 	// inflight is released by the writer post-flush.
 	cc.Answer(o)

@@ -616,12 +616,12 @@ func TestGatherExactlyOnce(t *testing.T) {
 					if m.Type != proto.MsgErr || !strings.Contains(m.Err, want) || !strings.Contains(m.Err, tc.wantErr) {
 						t.Errorf("Seq %d answered %v %q, want a MsgErr with %q and %q", m.Seq, m.Type, m.Err, want, tc.wantErr)
 					}
-				case m.Type != proto.MsgMGetResp || len(m.Ops) != len(keys):
-					t.Errorf("Seq %d answered %v with %d ops (%s), want %d", m.Seq, m.Type, len(m.Ops), m.Err, len(keys))
+				case m.Type != proto.MsgMGetResp || len(m.Ops) != len(keys) || m.Digest != proto.KeysDigest(keys):
+					t.Errorf("Seq %d answered %v with %d ops (%s), want %d answering the keys asked, in order", m.Seq, m.Type, len(m.Ops), m.Err, len(keys))
 				default:
 					for j, op := range m.Ops {
-						if op.Kind != proto.BatchUpdate || op.Key != keys[j] || string(op.Value) != keys[j] {
-							t.Errorf("Seq %d op %d = %+v, want key and value %q", m.Seq, j, op, keys[j])
+						if op.Kind != proto.BatchUpdate || string(op.Value) != keys[j] {
+							t.Errorf("Seq %d op %d = %+v, want value %q", m.Seq, j, op, keys[j])
 						}
 					}
 				}
@@ -774,13 +774,13 @@ func TestGatherRequestOrderAndNotFound(t *testing.T) {
 	for round := 0; round < 3; round++ { // cold, then resident, then on a recycled gather
 		rc.send(&proto.Msg{Type: proto.MsgMGet, Seq: 77, Keys: ask, Trace: &proto.Trace{ID: 9}})
 		m := rc.read(5 * time.Second)
-		if m == nil || m.Type != proto.MsgMGetResp || m.Seq != 77 || len(m.Ops) != len(ask) {
+		if m == nil || m.Type != proto.MsgMGetResp || m.Seq != 77 || len(m.Ops) != len(ask) || m.Digest != proto.KeysDigest(ask) {
 			t.Fatalf("round %d: MGET answered %+v", round, m)
 		}
 		for i, op := range m.Ops {
 			v, found := want[ask[i]]
-			if op.Key != ask[i] || (op.Kind == proto.BatchUpdate) != found || string(op.Value) != v {
-				t.Errorf("round %d: op %d = %+v, want key %q value %q found %v", round, i, op, ask[i], v, found)
+			if (op.Kind == proto.BatchUpdate) != found || string(op.Value) != v {
+				t.Errorf("round %d: op %d = %+v, want key %q's value %q found %v", round, i, op, ask[i], v, found)
 			}
 			if !found && (op.Kind != proto.BatchInvalidate || op.Version != 0) {
 				t.Errorf("round %d: missing key answered %+v, want a bare BatchInvalidate", round, op)

@@ -260,7 +260,7 @@ func (p Params) EWExpected() float64 {
 // ShouldUpdateEW reports the pragmatic §3.3 rule given a measured E[W]:
 // update iff E[W]·c_u < c_m + c_i. (A run of E[W] writes costs E[W]·c_u
 // under updating versus one invalidate plus one miss, c_i + c_m, under
-// invalidation; see DESIGN.md for the paper's inverted prose.)
+// invalidation; the paper's prose states the comparison inverted.)
 func ShouldUpdateEW(ew, cu, ci, cm float64) bool {
 	return ew*cu < cm+ci
 }

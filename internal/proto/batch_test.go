@@ -11,7 +11,8 @@ import (
 
 // Round trips for the multi-key message family, bare and with a trace
 // block, since batched frames carry the optional trace the same way
-// single-key ones do.
+// single-key ones do. The answers are positional: their ops come back
+// without keys, and the digest of the keys they were encoded with in Digest.
 func TestRoundTripMultiKey(t *testing.T) {
 	msgs := []*Msg{
 		{Type: MsgMGet, Seq: 1, Keys: []string{"a", "b", "c"}},
@@ -50,15 +51,47 @@ func TestRoundTripMultiKey(t *testing.T) {
 			}
 		}
 		want := *m
+		want.Ops = append([]BatchOp(nil), m.Ops...)
+		var keys []string
 		for i := range want.Ops {
 			if len(want.Ops[i].Value) == 0 {
 				want.Ops[i].Value = nil
 			}
+			if m.Type == MsgMGetResp || m.Type == MsgMPutResp {
+				keys, want.Ops[i].Key = append(keys, want.Ops[i].Key), ""
+			}
+		}
+		if m.Type == MsgMGetResp || m.Type == MsgMPutResp {
+			want.Digest = KeysDigest(keys)
 		}
 		gotCopy := *got
 		if !reflect.DeepEqual(&gotCopy, &want) {
 			t.Errorf("%v round trip:\n got %+v\nwant %+v", m.Type, gotCopy, want)
 		}
+	}
+}
+
+// The digest a positional answer carries tells the keys it answers apart
+// from other keys and from the same keys in another order, and the
+// length prefix keeps where one key ends and the next begins.
+func TestKeysDigestOrderAndBoundaries(t *testing.T) {
+	sets := [][]string{
+		nil, {""}, {"", ""}, {"a"}, {"a", "b"}, {"b", "a"}, {"ab"}, {"a", "c"},
+		{"ab", "c"}, {"a", "bc"}, {"a", "b", "c"}, {"c", "b", "a"},
+	}
+	seen := map[uint64][]string{}
+	for _, keys := range sets {
+		d := KeysDigest(keys)
+		if prev, dup := seen[d]; dup {
+			t.Errorf("KeysDigest(%q) = KeysDigest(%q)", keys, prev)
+		}
+		seen[d] = keys
+	}
+	m := roundTrip(t, &Msg{Type: MsgMPutResp, Ops: []BatchOp{
+		{Kind: BatchUpdate, Key: "a", Version: 1}, {Kind: BatchUpdate, Key: "b", Version: 2},
+	}})
+	if m.Digest != KeysDigest([]string{"a", "b"}) || m.Digest == KeysDigest([]string{"b", "a"}) {
+		t.Errorf("MPUTRESP for a, b carries digest %x", m.Digest)
 	}
 }
 
@@ -105,9 +138,9 @@ func TestMGetTruncatedKeysRejected(t *testing.T) {
 // the push-batch path.
 func TestMGetRespBadKindRejected(t *testing.T) {
 	payload := []byte{byte(MsgMGetResp), 0, 0, 0, 0, 0, 0, 0, 1}
+	payload = binary.BigEndian.AppendUint64(payload, KeysDigest([]string{"k"}))
 	payload = binary.BigEndian.AppendUint32(payload, 1)
 	payload = append(payload, 7) // undefined kind
-	payload = append(payload, 0, 1, 'k')
 	if _, err := frameOf(payload).ReadMsg(); !errors.Is(err, ErrMalformed) {
 		t.Errorf("err = %v, want ErrMalformed", err)
 	}

@@ -159,6 +159,22 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("expected EOF after single frame, got %v", err)
 		}
 
+		// The positional answers: the key travels as its digest only.
+		for _, typ := range []MsgType{MsgMGetResp, MsgMPutResp} {
+			frame, err := AppendFrame(nil, &Msg{Type: typ, Seq: seq,
+				Ops: []BatchOp{{Kind: BatchUpdate, Key: key, Value: value, Version: version}}})
+			if err != nil {
+				t.Fatalf("%v with a key/value PUT accepted does not encode: %v", typ, err)
+			}
+			if err := NewReader(bytes.NewReader(frame)).ReadMsgInto(got); err != nil {
+				t.Fatalf("decode of freshly encoded %v: %v", typ, err)
+			}
+			if got.Type != typ || got.Seq != seq || got.Digest != KeysDigest([]string{key}) || len(got.Ops) != 1 ||
+				got.Ops[0].Key != "" || got.Ops[0].Version != version || !bytes.Equal(got.Ops[0].Value, value) {
+				t.Fatalf("%v round trip mismatch: got %+v", typ, got)
+			}
+		}
+
 		// The same fields as the restore push, each part alone and all
 		// together: ops only, fence only, ops + freqs + fence.
 		ops := []BatchOp{{Kind: BatchUpdate, Key: key, Value: value, Version: version}}

@@ -161,17 +161,17 @@ const (
 	// fixed per-op costs (frame header, seq rendezvous, lock
 	// acquisitions) amortize across the batch.
 	MsgMGet
-	// MsgMGetResp answers MsgMGet/MsgMFill: Ops carries one entry per
-	// requested key, in request order — BatchUpdate (key, value,
-	// version) for a hit, BatchInvalidate (key only) for not-found —
-	// so one missing key never fails the batch.
+	// MsgMGetResp answers MsgMGet/MsgMFill positionally: Digest (the
+	// KeysDigest of the keys answered), then Ops, keyless, one per key in
+	// request order — BatchUpdate (value, version) for a hit,
+	// BatchInvalidate for not-found, so one missing key never fails it.
 	MsgMGetResp
 	// MsgMPut is a multi-key client write: Ops carries BatchUpdate
 	// entries (key, value; the version field is ignored on requests).
 	MsgMPut
-	// MsgMPutResp answers MsgMPut: Ops carries one BatchUpdate per
-	// written key, in request order, with the assigned Version and an
-	// empty value.
+	// MsgMPutResp answers MsgMPut the same way: BatchUpdate with the
+	// assigned Version and an empty value, or BatchInvalidate for a key
+	// whose write failed upstream.
 	MsgMPutResp
 	// MsgMFill is the batch analogue of MsgFill: a cache miss-fill for
 	// several keys at once. Keys set; the store records cache fills
@@ -274,6 +274,7 @@ type Msg struct {
 	Epoch   uint64
 	Ops     []BatchOp
 	Keys    []string // multi-key read key set (MsgMGet, MsgMFill)
+	Digest  uint64   // KeysDigest of the keys a positional answer's Ops answer
 	Reports []ReadReport
 	Stats   map[string]uint64
 	Err     string
@@ -399,6 +400,17 @@ func EncodeShared(m *Msg, refs int) (*SharedFrame, error) {
 	}
 	f.refs.Store(int32(refs))
 	return f, nil
+}
+
+// EncodeNow encodes m, an answer aliasing buffers valid only during the
+// call, at once into a pooled frame; one that outgrows MaxFrame (a
+// near-limit value plus a hop's span) becomes a MsgErr carrying the error.
+func EncodeNow(m *Msg) (Outgoing, error) {
+	f, err := EncodeShared(m, 1)
+	if err != nil {
+		return Outgoing{Msg: &Msg{Type: MsgErr, Seq: m.Seq, Err: err.Error()}}, err
+	}
+	return Outgoing{Raw: f}, nil
 }
 
 // Bytes returns the encoded frame. The slice is borrowed: the caller
@@ -833,17 +845,27 @@ func appendKeys(b []byte, keys []string) ([]byte, error) {
 }
 
 // appendOps encodes a batch-op list (shared by MsgBatch, MsgRepWrite
-// and the multi-key messages).
-func appendOps(b []byte, ops []BatchOp) ([]byte, error) {
+// and the multi-key messages); a positional one, an answer, has the
+// KeysDigest of its ops' keys in their place.
+func appendOps(b []byte, ops []BatchOp, positional bool) ([]byte, error) {
 	if len(ops) > MaxBatchOps {
 		return b, fmt.Errorf("%w: %d batch ops", ErrMalformed, len(ops))
+	}
+	if positional {
+		h := uint64(digestBasis)
+		for i := range ops {
+			h = digestKey(h, ops[i].Key)
+		}
+		b = binary.BigEndian.AppendUint64(b, h)
 	}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(ops)))
 	var err error
 	for _, op := range ops {
 		b = append(b, byte(op.Kind))
-		if b, err = appendString16(b, op.Key); err != nil {
-			return b, err
+		if !positional {
+			if b, err = appendString16(b, op.Key); err != nil {
+				return b, err
+			}
 		}
 		if op.Kind == BatchUpdate {
 			b = binary.BigEndian.AppendUint64(b, op.Version)
@@ -871,6 +893,29 @@ func appendFreqs(b []byte, freqs []KeyFreq) ([]byte, error) {
 		b = binary.BigEndian.AppendUint64(b, f.Writes)
 	}
 	return b, nil
+}
+
+// KeysDigest stands for the keys a positional answer answers: 64-bit
+// FNV-1a over each key behind its u16 length, so other keys, or these in
+// another order, give another digest.
+func KeysDigest(keys []string) uint64 {
+	h := uint64(digestBasis)
+	for _, k := range keys {
+		h = digestKey(h, k)
+	}
+	return h
+}
+
+const digestBasis, digestPrime = 14695981039346656037, 1099511628211
+
+// digestKey folds k, length first, into the running digest h.
+func digestKey(h uint64, k string) uint64 {
+	h = (h ^ uint64(len(k)>>8&0xff)) * digestPrime
+	h = (h ^ uint64(len(k)&0xff)) * digestPrime
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * digestPrime
+	}
+	return h
 }
 
 func appendString16(b []byte, s string) ([]byte, error) {
@@ -911,7 +956,7 @@ func appendPayload(b []byte, m *Msg) ([]byte, error) {
 		return appendString16(b, m.Key)
 	case MsgBatch:
 		b = binary.BigEndian.AppendUint64(b, m.Epoch)
-		return appendOps(b, m.Ops)
+		return appendOps(b, m.Ops, false)
 	case MsgReadReport:
 		if len(m.Reports) > MaxBatchOps {
 			return b, fmt.Errorf("%w: %d reports", ErrMalformed, len(m.Reports))
@@ -1008,14 +1053,14 @@ func appendPayload(b []byte, m *Msg) ([]byte, error) {
 		return appendStringList(b, m.Nodes)
 	case MsgRepWrite, MsgMigrateDone:
 		b = binary.BigEndian.AppendUint64(b, m.Version)
-		if b, err = appendOps(b, m.Ops); err != nil {
+		if b, err = appendOps(b, m.Ops, false); err != nil {
 			return b, err
 		}
 		return appendFreqs(b, m.Freqs)
 	case MsgMGet, MsgMFill:
 		return appendKeys(b, m.Keys)
 	case MsgMGetResp, MsgMPut, MsgMPutResp:
-		return appendOps(b, m.Ops)
+		return appendOps(b, m.Ops, m.Type != MsgMPut)
 	default:
 		return b, fmt.Errorf("%w: unknown type %v", ErrMalformed, m.Type)
 	}
@@ -1239,17 +1284,22 @@ func (c *cursor) strList() ([]string, error) {
 }
 
 // ops decodes a batch-op list (shared by MsgBatch, MsgRepWrite and the
-// multi-key messages)
-// into dst's capacity.
-func (c *cursor) ops(dst []BatchOp) ([]BatchOp, error) {
+// multi-key messages) into m.Ops' capacity; a positional one into m.Digest
+// and keyless ops.
+func (c *cursor) ops(m *Msg, positional bool) (err error) {
+	if positional {
+		if m.Digest, err = c.u64(); err != nil {
+			return err
+		}
+	}
 	n, err := c.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > MaxBatchOps {
-		return nil, fmt.Errorf("%w: %d batch ops", ErrMalformed, n)
+		return fmt.Errorf("%w: %d batch ops", ErrMalformed, n)
 	}
-	ops := dst
+	ops := m.Ops
 	if cap(ops) == 0 {
 		ops = make([]BatchOp, 0, min64(uint64(n), 4096))
 	}
@@ -1257,26 +1307,29 @@ func (c *cursor) ops(dst []BatchOp) ([]BatchOp, error) {
 		var op BatchOp
 		kind, err := c.u8()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		op.Kind = BatchKind(kind)
 		if op.Kind != BatchInvalidate && op.Kind != BatchUpdate {
-			return nil, fmt.Errorf("%w: batch op kind %d", ErrMalformed, kind)
+			return fmt.Errorf("%w: batch op kind %d", ErrMalformed, kind)
 		}
-		if op.Key, err = c.str16(); err != nil {
-			return nil, err
+		if !positional {
+			if op.Key, err = c.str16(); err != nil {
+				return err
+			}
 		}
 		if op.Kind == BatchUpdate {
 			if op.Version, err = c.u64(); err != nil {
-				return nil, err
+				return err
 			}
 			if op.Value, err = c.bytes32(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		ops = append(ops, op)
 	}
-	return ops, nil
+	m.Ops = ops
+	return nil
 }
 
 // keys decodes a multi-key read's key set (MsgMGet, MsgMFill) into
@@ -1387,7 +1440,7 @@ func parsePayload(m *Msg, payload []byte, rd *Reader) error {
 		if m.Epoch, err = c.u64(); err != nil {
 			return err
 		}
-		if m.Ops, err = c.ops(m.Ops); err != nil {
+		if err = c.ops(m, false); err != nil {
 			return err
 		}
 	case MsgReadReport:
@@ -1578,7 +1631,7 @@ func parsePayload(m *Msg, payload []byte, rd *Reader) error {
 		if m.Version, err = c.u64(); err != nil {
 			return err
 		}
-		if m.Ops, err = c.ops(m.Ops); err != nil {
+		if err = c.ops(m, false); err != nil {
 			return err
 		}
 		if m.Freqs, err = c.freqs(m.Freqs); err != nil {
@@ -1589,7 +1642,7 @@ func parsePayload(m *Msg, payload []byte, rd *Reader) error {
 			return err
 		}
 	case MsgMGetResp, MsgMPut, MsgMPutResp:
-		if m.Ops, err = c.ops(m.Ops); err != nil {
+		if err = c.ops(m, m.Type != MsgMPut); err != nil {
 			return err
 		}
 	default:

@@ -245,6 +245,10 @@ type writeScratch struct {
 	part  []proto.BatchOp  // the ops of the leg being started
 	freqs []proto.KeyFreq  // and the tracker counts riding with them
 	local []localWrite
+	// The local writes as the authority's batch install takes them.
+	keys     []string
+	vals     [][]byte
+	versions []uint64
 }
 
 // dispatchWrites serves PUT (one op) and MPUT (the batch) under the
@@ -299,15 +303,17 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, tr *proto.SpanRec) 
 		o.Version = s.auth.Put(o.Key, o.Value, now)
 		keys = append(keys, o.Key)
 	} else if len(local) > 1 {
-		vals, versions := make([][]byte, 0, len(local)), make([]uint64, len(local))
-		keys = make([]string, 0, len(local))
+		sc.keys, sc.vals, sc.versions = sc.keys[:0], sc.vals[:0], sc.versions[:0]
 		for _, lw := range local {
-			keys, vals = append(keys, ops[lw.i].Key), append(vals, ops[lw.i].Value)
+			sc.keys, sc.vals = append(sc.keys, ops[lw.i].Key), append(sc.vals, ops[lw.i].Value)
+			sc.versions = append(sc.versions, 0)
 		}
-		s.auth.PutBatch(keys, vals, versions, now)
+		s.auth.PutBatch(sc.keys, sc.vals, sc.versions, now)
 		for j, lw := range local {
-			ops[lw.i].Version = versions[j]
+			ops[lw.i].Version = sc.versions[j]
 		}
+		clear(sc.vals) // the reader's buffer
+		keys = sc.keys
 	}
 	for _, lw := range local {
 		key := ops[lw.i].Key
@@ -331,10 +337,11 @@ func (s *Server) dispatchWrites(m *proto.Msg, cs *connState, tr *proto.SpanRec) 
 		w.ops = append(w.ops, proto.BatchOp{Kind: proto.BatchUpdate, Key: ops[i].Key, Version: ops[i].Version})
 	}
 	if len(w.legs) == 0 {
-		resp := s.writeResp(m.Seq, w.ops, single, nil)
+		o := s.writeResp(tr, m.Seq, w.ops, single, nil)
 		sc.one[0].Value = nil
 		w.recycle()
-		return resp
+		cs.Out <- o
+		return nil
 	}
 
 	cs.Acquire()
@@ -432,7 +439,7 @@ func (w *pendingWrite) legDone() {
 			}
 		}
 	}
-	w.cs.answer(w.tr, w.s.writeResp(w.seq, w.ops, w.single, err))
+	w.cs.Answer(w.s.writeResp(w.tr, w.seq, w.ops, w.single, err))
 	w.recycle()
 }
 
@@ -453,24 +460,25 @@ func (w *pendingWrite) recycle() {
 }
 
 // writeResp shapes a finished write request's answer from its ops (keys,
-// versions, and BatchInvalidate where a leg failed), which it does not
-// keep. PUT: the assigned version, or the error that withheld the ack.
-// MPUT: one op per key in request order — BatchUpdate with the assigned
-// version, or BatchInvalidate for a key whose leg failed, which the client
-// surfaces as that key's error while the rest of the batch acknowledges.
-func (s *Server) writeResp(seq uint64, ops []proto.BatchOp, single bool, err error) *proto.Msg {
+// versions, and BatchInvalidate where a leg failed) and closes tr's span on
+// it. PUT: the assigned version, or the error that withheld the ack. MPUT:
+// one op per key in request order — BatchUpdate with the assigned version,
+// or BatchInvalidate for a key whose leg failed, which the client surfaces
+// as that key's error while the rest of the batch acknowledges — encoded at
+// once, as ops is the request record's and recycled with it.
+func (s *Server) writeResp(tr *proto.SpanRec, seq uint64, ops []proto.BatchOp, single bool, err error) proto.Outgoing {
 	if single && err != nil {
-		return errMsg(seq, "store: put %q: %v", ops[0].Key, err)
+		return proto.Outgoing{Msg: s.finishTrace(tr, errMsg(seq, "store: put %q: %v", ops[0].Key, err)), Pooled: true}
 	}
-	resp := proto.GetMsg()
-	resp.Seq = seq
 	if single {
-		resp.Type, resp.Status, resp.Version = proto.MsgPutResp, proto.StatusOK, ops[0].Version
-		return resp
+		resp := proto.GetMsg()
+		resp.Seq, resp.Type, resp.Status, resp.Version = seq, proto.MsgPutResp, proto.StatusOK, ops[0].Version
+		return proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
 	}
 	if err != nil {
 		s.cfg.Logger.Printf("store %s: %d-key write: %v", s.cfg.ShardID, len(ops), err)
 	}
-	resp.Type, resp.Ops = proto.MsgMPutResp, append([]proto.BatchOp(nil), ops...)
-	return resp
+	resp := proto.Msg{Type: proto.MsgMPutResp, Seq: seq, Ops: ops}
+	o, _ := proto.EncodeNow(s.finishTrace(tr, &resp)) // past MaxFrame, o is the MsgErr
+	return o
 }

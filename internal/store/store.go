@@ -788,13 +788,6 @@ type connState struct {
 	reads []core.ReadCount
 }
 
-// answer closes tr's hop span on resp and queues it as the response to a
-// request acquired on cs, without ever waiting for this client: it runs
-// on peer connections' readers, which every client connection shares.
-func (cs *connState) answer(tr *proto.SpanRec, resp *proto.Msg) {
-	cs.Answer(proto.Outgoing{Msg: cs.s.finishTrace(tr, resp), Pooled: true})
-}
-
 // goForward answers a forwarded read asynchronously through the
 // connection's writer: it crosses a blocking network round trip and must
 // not stall the requests pipelined behind it on this connection.

@@ -271,15 +271,13 @@ func TestBatchFailsOnlyTheFailedLegsOps(t *testing.T) {
 	}
 	rc.send(req)
 	m := rc.read(5 * time.Second)
-	if m == nil || m.Type != proto.MsgMPutResp || m.Seq != 9 || len(m.Ops) != len(keys) {
+	if m == nil || m.Type != proto.MsgMPutResp || m.Seq != 9 || len(m.Ops) != len(keys) || m.Digest != proto.KeysDigest(keys) {
 		t.Fatalf("answered %+v", m)
 	}
 	for i, op := range m.Ops {
 		_, applied, _ := s.Authority().Get(keys[i])
 		failed := i == 1 || i == 2
 		switch {
-		case op.Key != keys[i]:
-			t.Errorf("op %d is for %q, want %q", i, op.Key, keys[i])
 		case failed && (op.Kind != proto.BatchInvalidate || op.Version != 0):
 			t.Errorf("op %d (its replica refused) = %+v, want a bare BatchInvalidate", i, op)
 		case !failed && (op.Kind != proto.BatchUpdate || op.Version != applied || applied == 0):
@@ -349,7 +347,7 @@ func TestForwardLegTakesTheOwnersAnswer(t *testing.T) {
 	}
 	rc.send(req)
 	m = rc.read(10 * time.Second)
-	if m == nil || m.Type != proto.MsgMPutResp || len(m.Ops) != 2 {
+	if m == nil || m.Type != proto.MsgMPutResp || len(m.Ops) != 2 || m.Digest != proto.KeysDigest([]string{acked[0], unacked[0]}) {
 		t.Fatalf("answered %+v", m)
 	}
 	if op := m.Ops[0]; op.Kind != proto.BatchUpdate || op.Version <= 1000 {

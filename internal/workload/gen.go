@@ -131,7 +131,7 @@ func Mix(spec MixSpec) (*Trace, error) {
 
 // MetaLikeSpec configures the synthetic stand-in for the Meta/CacheLib
 // production workload: heavy popularity skew, read-dominant traffic, and
-// bursty ON/OFF arrival modulation. See DESIGN.md §4.
+// bursty ON/OFF arrival modulation.
 type MetaLikeSpec struct {
 	Rate      float64 // mean aggregate rate (req/s)
 	Keys      int
@@ -207,7 +207,7 @@ func MetaLike(spec MetaLikeSpec) (*Trace, error) {
 // TwitterLikeSpec configures the synthetic stand-in for the Twitter
 // production workloads of Yang et al. (TOS'21): per-key behavior classes
 // spanning read-heavy to write-heavy clusters, Zipf popularity, and
-// diurnal rate modulation. See DESIGN.md §4.
+// diurnal rate modulation.
 type TwitterLikeSpec struct {
 	Rate float64
 	Keys int

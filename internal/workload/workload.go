@@ -3,8 +3,7 @@
 // four workload families evaluated in the paper: a synthetic Poisson
 // workload with Zipfian popularity, a 50-50 mix of read-heavy and
 // write-heavy Poisson workloads, and synthetic stand-ins for the Meta and
-// Twitter production traces (see DESIGN.md §4 for the substitution
-// rationale).
+// Twitter production traces.
 //
 // Traces are deterministic given a Spec's seed, ordered by virtual time
 // (seconds since trace start), and serializable to a compact binary format

@@ -4,7 +4,7 @@
 // and Bernoulli coin flips.
 //
 // We ship our own generator instead of math/rand so that every experiment
-// in EXPERIMENTS.md replays bit-for-bit on any Go release: the streams are
+// cmd/freshbench runs replays bit-for-bit on any Go release: the streams are
 // part of this repository's contract, not the standard library's.
 package xrand
 
